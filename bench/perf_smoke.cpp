@@ -11,26 +11,22 @@
  *  2. Parallel KIPS: the same batch through SimulationRunner with
  *     the requested --jobs (default hardware_concurrency).
  *  3. Cycle-loop allocations: heap allocations per simulated cycle
- *     and scratch-buffer regrowths in the measurement window with
- *     the legacy allocate-per-cycle path (hoistScratch=false)
- *     versus the hoisted member buffers (hoistScratch=true). The
- *     hoisted path must report zero steady-state regrowths. A third
- *     leg repeats the hoisted run with a binding PRF read-port
- *     budget: the arbiter and its stall-replay path must add zero
- *     heap allocations over the unlimited leg while actually
- *     denying issues.
- *  4. Front-end checkpointing: a branch-heavy (gcc) run with pooled
- *     checkpoints versus the legacy copy-everywhere path — KIPS,
- *     checkpoints taken/restored/pool-stalled, steady-state heap
- *     allocations (must be zero pooled), and the per-branch snapshot
- *     bytes the pool removes. Written to BENCH_frontend.json.
+ *     and scratch-buffer regrowths in the measurement window. The
+ *     core's hoisted scratch buffers must report zero steady-state
+ *     regrowths. A second leg repeats the run with a binding PRF
+ *     read-port budget: the arbiter and its stall-replay path must
+ *     add zero heap allocations over the unlimited leg while
+ *     actually denying issues.
+ *  4. Front-end checkpointing: a branch-heavy (gcc) run — KIPS,
+ *     checkpoints taken/restored/pool-stalled, and steady-state heap
+ *     allocations, which must be zero. Written to
+ *     BENCH_frontend.json.
  *  5. Traced front end: the walker replay loop in isolation
- *     (Minst/s, traced vs legacy decode) and a whole-core gcc run
- *     with tracedFrontEnd on/off — plus the TraceCache sharing
- *     stats of the multi-point sweep in (1)/(2). Trace replay must
- *     make zero steady-state heap allocations (compile-time allocs
- *     are allowed, replay allocs are not). Written to
- *     BENCH_trace.json.
+ *     (Minst/s) and a whole-core gcc run, plus the TraceCache
+ *     sharing stats of the multi-point sweep in (1)/(2). Trace
+ *     replay must make zero steady-state heap allocations
+ *     (compile-time allocs are allowed, replay allocs are not).
+ *     Written to BENCH_trace.json.
  *  6. Sweep batching: a fig10-shaped subset (scheme x width panel
  *     over two workloads) through SimulationRunner with --batch 1
  *     versus the default batch width, best-of-3 with the legs
@@ -149,8 +145,7 @@ struct AllocProbe
  *  @p ports limits the PRF read-port budget (0 = unlimited) so the
  *  arbitrated issue path gets its own zero-allocation gate. */
 AllocProbe
-probeCycleLoop(bool hoist, const bench::Budget &budget,
-               unsigned ports = 0)
+probeCycleLoop(const bench::Budget &budget, unsigned ports = 0)
 {
     const auto &profile = workload::profileByName("gzip");
     workload::SyntheticProgram program(profile, 11);
@@ -158,7 +153,6 @@ probeCycleLoop(bool hoist, const bench::Budget &budget,
     const unsigned narrow = core::CoreConfig::narrowBitsForWidth(4);
     auto cfg = core::CoreConfig::fourWide(
         rename::RenameConfig::base(64, narrow));
-    cfg.hoistScratch = hoist;
     cfg.prfReadPorts = ports;
 
     StatGroup stats;
@@ -202,9 +196,9 @@ struct FrontEndProbe
     uint64_t poolStalls = 0;
 };
 
-/** Branch-heavy core run, pooled vs legacy checkpointing. */
+/** Branch-heavy whole-core run (gcc). */
 FrontEndProbe
-probeFrontEnd(bool pooled, const bench::Budget &budget)
+probeFrontEnd(const bench::Budget &budget)
 {
     const auto &profile = workload::profileByName("gcc");
     workload::SyntheticProgram program(profile, 11);
@@ -212,7 +206,6 @@ probeFrontEnd(bool pooled, const bench::Budget &budget)
     const unsigned narrow = core::CoreConfig::narrowBitsForWidth(4);
     auto cfg = core::CoreConfig::fourWide(
         rename::RenameConfig::base(64, narrow));
-    cfg.pooledCheckpoints = pooled;
 
     StatGroup stats;
     core::OutOfOrderCore cpu(cfg, program, stats);
@@ -253,48 +246,6 @@ probeFrontEnd(bool pooled, const bench::Budget &budget)
     return probe;
 }
 
-/** Whole-core run with the traced vs legacy front end (gcc). */
-FrontEndProbe
-probeTracedCore(bool traced, const bench::Budget &budget)
-{
-    const auto &profile = workload::profileByName("gcc");
-    workload::SyntheticProgram program(profile, 11);
-
-    const unsigned narrow = core::CoreConfig::narrowBitsForWidth(4);
-    auto cfg = core::CoreConfig::fourWide(
-        rename::RenameConfig::base(64, narrow));
-    cfg.tracedFrontEnd = traced;
-
-    StatGroup stats;
-    core::OutOfOrderCore cpu(cfg, program, stats);
-
-    // Warm up past one-time growth (and, traced, past the deepest
-    // call-stack push the walker will see).
-    cpu.run(budget.warmup);
-    cpu.beginMeasurement();
-
-    const uint64_t c0 = cpu.cycles();
-    const uint64_t i0 = cpu.committedInsts();
-    const uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
-
-    const auto t0 = Clock::now();
-    cpu.run(budget.measure);
-    const double secs = secondsSince(t0);
-
-    FrontEndProbe probe;
-    probe.cycles = cpu.cycles() - c0;
-    probe.allocs = g_allocs.load(std::memory_order_relaxed) - a0;
-    probe.allocsPerCycle = probe.cycles > 0
-        ? static_cast<double>(probe.allocs) /
-            static_cast<double>(probe.cycles)
-        : 0.0;
-    probe.kips = secs > 0
-        ? static_cast<double>(cpu.committedInsts() - i0) / secs /
-            1000.0
-        : 0.0;
-    return probe;
-}
-
 struct WalkerProbe
 {
     double mips = 0.0;     ///< front-end Minst/s, no timing core
@@ -310,15 +261,12 @@ struct WalkerProbe
  * §13).
  */
 WalkerProbe
-probeWalkerReplay(bool traced, const bench::Budget &budget)
+probeWalkerReplay(const bench::Budget &budget)
 {
     const auto &profile = workload::profileByName("gcc");
     workload::SyntheticProgram program(profile, 11);
-    std::shared_ptr<const workload::trace::ProgramTraces> traces;
-    if (traced) {
-        traces =
-            workload::trace::TraceCache::global().acquire(program);
-    }
+    const auto traces =
+        workload::trace::TraceCache::global().acquire(program);
     workload::Walker walker(program, traces.get());
 
     const uint64_t n = budget.measure * 25;
@@ -504,21 +452,16 @@ main(int argc, char **argv)
     }
     std::printf("\n");
 
-    const auto legacy = probeCycleLoop(false, opts.budget);
-    const auto hoisted = probeCycleLoop(true, opts.budget);
+    const auto hoisted = probeCycleLoop(opts.budget);
     // Port-limited leg: a binding budget (4 ports on the 4-wide
     // machine, whose worst case is 2*width = 8) drives the arbiter
     // and the port-stall replay path every cycle. That path must be
     // as allocation-free as the unlimited one.
-    const auto ported = probeCycleLoop(true, opts.budget, 4);
+    const auto ported = probeCycleLoop(opts.budget, 4);
 
     std::printf("%-28s %14s %14s\n", "cycle-loop heap traffic",
                 "allocs/cycle", "scratchGrowths");
-    std::printf("%-28s %14.4f %14llu\n", "legacy (hoistScratch=off)",
-                legacy.allocsPerCycle,
-                static_cast<unsigned long long>(
-                    legacy.scratchGrowths));
-    std::printf("%-28s %14.4f %14llu\n", "hoisted (hoistScratch=on)",
+    std::printf("%-28s %14.4f %14llu\n", "unlimited ports",
                 hoisted.allocsPerCycle,
                 static_cast<unsigned long long>(
                     hoisted.scratchGrowths));
@@ -536,10 +479,10 @@ main(int argc, char **argv)
                     "arbiter path was not exercised\n");
         return 1;
     }
-    // Delta gate: the two hoisted legs replay the same instruction
-    // stream, so any background allocation (workload, memory system)
-    // lands identically in both. Anything the ported leg adds on top
-    // is an allocation in the arbiter / stall-replay path itself.
+    // Delta gate: the two legs replay the same instruction stream,
+    // so any background allocation (workload, memory system) lands
+    // identically in both. Anything the ported leg adds on top is an
+    // allocation in the arbiter / stall-replay path itself.
     const uint64_t arb_allocs = ported.allocs > hoisted.allocs
         ? ported.allocs - hoisted.allocs
         : 0;
@@ -556,57 +499,48 @@ main(int argc, char **argv)
                 "port stalls\n\n",
                 static_cast<unsigned long long>(ported.portStalls));
 
-    // Front-end checkpointing: branch-heavy workload, pooled vs
-    // legacy copy path.
-    const auto fe_legacy = probeFrontEnd(false, opts.budget);
-    const auto fe_pooled = probeFrontEnd(true, opts.budget);
-
-    // Per-branch snapshot payload the rename stage copies into the
-    // ROB entry: full RAS image + spec-arch array + walker
-    // checkpoint header (its call stack adds a heap copy on top).
-    const size_t legacy_bytes = sizeof(branch::PredictorSnapshotFull)
-        + sizeof(std::array<uint64_t, 2 * isa::kNumLogicalRegs>)
-        + sizeof(workload::WalkerCkpt);
-    const size_t pooled_bytes = sizeof(core::CkptRef);
+    // Front end: the walker replay loop in isolation, then the
+    // branch-heavy whole core. The host is a noisy shared box, so
+    // each speed is best-of-3; the allocation gates below look at
+    // every repetition, not just the best one.
+    WalkerProbe walker;
+    FrontEndProbe fe;
+    uint64_t walker_allocs = 0, fe_allocs = 0;
+    for (int rep = 0; rep < 3; ++rep) {
+        const auto w = probeWalkerReplay(opts.budget);
+        const auto c = probeFrontEnd(opts.budget);
+        walker_allocs += w.allocs;
+        fe_allocs += c.allocs;
+        if (w.mips > walker.mips)
+            walker = w;
+        if (c.kips > fe.kips)
+            fe = c;
+    }
+    walker.allocs = walker_allocs;
+    fe.allocs = fe_allocs;
 
     std::printf("%-28s %10s %12s %10s %8s %8s\n",
-                "front-end (gcc)", "KIPS", "allocs/cyc", "ckpts",
+                "whole core (gcc)", "KIPS", "allocs/cyc", "ckpts",
                 "restored", "stalls");
     std::printf("%-28s %10.1f %12.4f %10llu %8llu %8llu\n",
-                "legacy (copy per branch)", fe_legacy.kips,
-                fe_legacy.allocsPerCycle,
-                static_cast<unsigned long long>(
-                    fe_legacy.ckptsTaken),
-                static_cast<unsigned long long>(
-                    fe_legacy.ckptsRestored),
-                static_cast<unsigned long long>(
-                    fe_legacy.poolStalls));
-    std::printf("%-28s %10.1f %12.4f %10llu %8llu %8llu\n",
-                "pooled (CkptRef per branch)", fe_pooled.kips,
-                fe_pooled.allocsPerCycle,
-                static_cast<unsigned long long>(
-                    fe_pooled.ckptsTaken),
-                static_cast<unsigned long long>(
-                    fe_pooled.ckptsRestored),
-                static_cast<unsigned long long>(
-                    fe_pooled.poolStalls));
-    std::printf("per-branch ROB snapshot: %zu B -> %zu B\n",
-                legacy_bytes, pooled_bytes);
-    if (fe_pooled.allocs != 0) {
-        std::printf("FAIL: pooled front-end allocated %llu times in "
-                    "the measurement window\n",
-                    static_cast<unsigned long long>(
-                        fe_pooled.allocs));
+                "pooled checkpoints", fe.kips, fe.allocsPerCycle,
+                static_cast<unsigned long long>(fe.ckptsTaken),
+                static_cast<unsigned long long>(fe.ckptsRestored),
+                static_cast<unsigned long long>(fe.poolStalls));
+    if (fe.allocs != 0) {
+        std::printf("FAIL: whole core allocated %llu times in the "
+                    "measurement window\n",
+                    static_cast<unsigned long long>(fe.allocs));
         return 1;
     }
-    if (fe_pooled.poolStalls != 0) {
+    if (fe.poolStalls != 0) {
         std::printf("FAIL: auto-sized checkpoint pool stalled "
                     "fetch\n");
         return 1;
     }
     std::printf("pooled path: zero steady-state allocations over "
                 "%llu branch-heavy cycles\n",
-                static_cast<unsigned long long>(fe_pooled.cycles));
+                static_cast<unsigned long long>(fe.cycles));
 
     if (std::FILE *f = std::fopen("BENCH_frontend.json", "w")) {
         std::fprintf(
@@ -615,61 +549,26 @@ main(int argc, char **argv)
             "  \"benchmark\": \"gcc\",\n"
             "  \"serialKips\": %.1f,\n"
             "  \"baselineSerialKips\": %.1f,\n"
-            "  \"legacyKips\": %.1f,\n"
             "  \"pooledKips\": %.1f,\n"
-            "  \"pooledSpeedup\": %.3f,\n"
-            "  \"legacyAllocsPerCycle\": %.4f,\n"
             "  \"pooledAllocsPerCycle\": %.4f,\n"
             "  \"pooledAllocs\": %llu,\n"
             "  \"ckptsTaken\": %llu,\n"
             "  \"ckptsRestored\": %llu,\n"
             "  \"ckptPoolStalls\": %llu,\n"
-            "  \"legacyBytesPerBranch\": %zu,\n"
             "  \"pooledBytesPerBranch\": %zu,\n"
             "  \"measuredCycles\": %llu\n"
             "}\n",
-            serial_kips, base_kips, fe_legacy.kips, fe_pooled.kips,
-            fe_legacy.kips > 0 ? fe_pooled.kips / fe_legacy.kips
-                               : 0.0,
-            fe_legacy.allocsPerCycle, fe_pooled.allocsPerCycle,
-            static_cast<unsigned long long>(fe_pooled.allocs),
-            static_cast<unsigned long long>(fe_pooled.ckptsTaken),
-            static_cast<unsigned long long>(fe_pooled.ckptsRestored),
-            static_cast<unsigned long long>(fe_pooled.poolStalls),
-            legacy_bytes, pooled_bytes,
-            static_cast<unsigned long long>(fe_pooled.cycles));
+            serial_kips, base_kips, fe.kips, fe.allocsPerCycle,
+            static_cast<unsigned long long>(fe.allocs),
+            static_cast<unsigned long long>(fe.ckptsTaken),
+            static_cast<unsigned long long>(fe.ckptsRestored),
+            static_cast<unsigned long long>(fe.poolStalls),
+            sizeof(core::CkptRef),
+            static_cast<unsigned long long>(fe.cycles));
         std::fclose(f);
         std::printf("wrote BENCH_frontend.json\n");
     }
     std::printf("\n");
-
-    // Traced front end: the walker replay loop in isolation, then
-    // the whole core with the front end swapped. The host is a noisy
-    // shared box, so each A/B leg is best-of-3 with the legs
-    // interleaved (alternating legacy/traced keeps slow phases from
-    // landing entirely on one side); the allocation gates below look
-    // at every repetition, not just the best one.
-    WalkerProbe wk_legacy, wk_traced;
-    FrontEndProbe tc_legacy, tc_traced;
-    uint64_t wk_traced_allocs = 0, tc_traced_allocs = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-        const auto wl = probeWalkerReplay(false, opts.budget);
-        const auto wt = probeWalkerReplay(true, opts.budget);
-        const auto cl = probeTracedCore(false, opts.budget);
-        const auto ct = probeTracedCore(true, opts.budget);
-        wk_traced_allocs += wt.allocs;
-        tc_traced_allocs += ct.allocs;
-        if (wl.mips > wk_legacy.mips)
-            wk_legacy = wl;
-        if (wt.mips > wk_traced.mips)
-            wk_traced = wt;
-        if (cl.kips > tc_legacy.kips)
-            tc_legacy = cl;
-        if (ct.kips > tc_traced.kips)
-            tc_traced = ct;
-    }
-    wk_traced.allocs = wk_traced_allocs;
-    tc_traced.allocs = tc_traced_allocs;
 
     const uint64_t sweep_compiled =
         tc1.programsCompiled - tc0.programsCompiled;
@@ -679,22 +578,8 @@ main(int argc, char **argv)
 
     std::printf("%-28s %12s %12s\n", "walker replay (gcc)",
                 "Minst/s", "allocs");
-    std::printf("%-28s %12.1f %12llu\n", "legacy decode",
-                wk_legacy.mips,
-                static_cast<unsigned long long>(wk_legacy.allocs));
-    std::printf("%-28s %12.1f %12llu\n", "traced replay",
-                wk_traced.mips,
-                static_cast<unsigned long long>(wk_traced.allocs));
-    std::printf("walker replay speedup: %.2fx over %llu insts\n",
-                wk_legacy.mips > 0 ? wk_traced.mips / wk_legacy.mips
-                                   : 0.0,
-                static_cast<unsigned long long>(wk_traced.insts));
-    std::printf("%-28s %10s %12s\n", "whole core (gcc)", "KIPS",
-                "allocs/cyc");
-    std::printf("%-28s %10.1f %12.4f\n", "legacy front end",
-                tc_legacy.kips, tc_legacy.allocsPerCycle);
-    std::printf("%-28s %10.1f %12.4f\n", "traced front end",
-                tc_traced.kips, tc_traced.allocsPerCycle);
+    std::printf("%-28s %12.1f %12llu\n", "traced replay", walker.mips,
+                static_cast<unsigned long long>(walker.allocs));
     std::printf("trace cache: %llu programs compiled, %llu shared "
                 "across the %zu-run sweep; %llu blocks, %llu "
                 "micro-ops, %llu B resident; replay hit rate %.3f\n",
@@ -705,18 +590,10 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(tc_all.microOps),
                 static_cast<unsigned long long>(tc_all.traceBytes),
                 tc_all.replayHitRate());
-    if (wk_traced.allocs != 0) {
+    if (walker.allocs != 0) {
         std::printf("FAIL: trace replay allocated %llu times in the "
                     "measurement window\n",
-                    static_cast<unsigned long long>(
-                        wk_traced.allocs));
-        return 1;
-    }
-    if (tc_traced.allocs != 0) {
-        std::printf("FAIL: traced core allocated %llu times in the "
-                    "measurement window\n",
-                    static_cast<unsigned long long>(
-                        tc_traced.allocs));
+                    static_cast<unsigned long long>(walker.allocs));
         return 1;
     }
     std::printf("traced path: zero steady-state allocations "
@@ -731,12 +608,8 @@ main(int argc, char **argv)
             "  \"serialKips\": %.1f,\n"
             "  \"parallelKips\": %.1f,\n"
             "  \"baselineSerialKips\": %.1f,\n"
-            "  \"walkerLegacyMips\": %.1f,\n"
             "  \"walkerTracedMips\": %.1f,\n"
-            "  \"walkerReplaySpeedup\": %.3f,\n"
-            "  \"coreLegacyKips\": %.1f,\n"
             "  \"coreTracedKips\": %.1f,\n"
-            "  \"coreTracedSpeedup\": %.3f,\n"
             "  \"replayAllocs\": %llu,\n"
             "  \"tracedCoreAllocs\": %llu,\n"
             "  \"sweepProgramsCompiled\": %llu,\n"
@@ -747,22 +620,16 @@ main(int argc, char **argv)
             "  \"replayHitRate\": %.4f,\n"
             "  \"measuredCycles\": %llu\n"
             "}\n",
-            jobs, serial_kips, par_kips, base_kips, wk_legacy.mips,
-            wk_traced.mips,
-            wk_legacy.mips > 0 ? wk_traced.mips / wk_legacy.mips
-                               : 0.0,
-            tc_legacy.kips, tc_traced.kips,
-            tc_legacy.kips > 0 ? tc_traced.kips / tc_legacy.kips
-                               : 0.0,
-            static_cast<unsigned long long>(wk_traced.allocs),
-            static_cast<unsigned long long>(tc_traced.allocs),
+            jobs, serial_kips, par_kips, base_kips, walker.mips,
+            fe.kips, static_cast<unsigned long long>(walker.allocs),
+            static_cast<unsigned long long>(fe.allocs),
             static_cast<unsigned long long>(sweep_compiled),
             static_cast<unsigned long long>(sweep_shared),
             static_cast<unsigned long long>(tc_all.blocksCompiled),
             static_cast<unsigned long long>(tc_all.microOps),
             static_cast<unsigned long long>(tc_all.traceBytes),
             tc_all.replayHitRate(),
-            static_cast<unsigned long long>(tc_traced.cycles));
+            static_cast<unsigned long long>(fe.cycles));
         std::fclose(f);
         std::printf("wrote BENCH_trace.json\n");
     }
@@ -826,8 +693,6 @@ main(int argc, char **argv)
             "  \"serialKips\": %.1f,\n"
             "  \"parallelKips\": %.1f,\n"
             "  \"speedup\": %.3f,\n"
-            "  \"legacyAllocsPerCycle\": %.4f,\n"
-            "  \"legacyScratchGrowths\": %llu,\n"
             "  \"hoistedAllocsPerCycle\": %.4f,\n"
             "  \"hoistedScratchGrowths\": %llu,\n"
             "  \"portedAddedAllocs\": %llu,\n"
@@ -835,9 +700,7 @@ main(int argc, char **argv)
             "  \"measuredCycles\": %llu\n"
             "}\n",
             jobs, batch.size(), serial_kips, par_kips,
-            par_kips / serial_kips, legacy.allocsPerCycle,
-            static_cast<unsigned long long>(legacy.scratchGrowths),
-            hoisted.allocsPerCycle,
+            par_kips / serial_kips, hoisted.allocsPerCycle,
             static_cast<unsigned long long>(hoisted.scratchGrowths),
             static_cast<unsigned long long>(arb_allocs),
             static_cast<unsigned long long>(ported.portStalls),

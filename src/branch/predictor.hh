@@ -65,9 +65,9 @@ struct PredictorSnapshot
 };
 
 /**
- * Legacy full-copy form: the entire RAS array travels with every
- * fetched branch. Kept behind CoreConfig::pooledCheckpoints=false
- * so the perf harness can measure what the journal removes.
+ * Full-copy form: the entire RAS array. The core never uses it; it
+ * is the reference the journal-based restore is property-tested
+ * against (tests/test_ckpt_pool.cpp).
  */
 struct PredictorSnapshotFull
 {
@@ -163,18 +163,17 @@ class Ras
     uint64_t top() const;
     bool empty() const { return count == 0; }
 
-    /** Journal-based snapshot / restore (pooled checkpoints). */
+    /** Journal-based snapshot / restore (the core's path). */
     void snapshot(PredictorSnapshot &snap) const;
     void restore(const PredictorSnapshot &snap);
 
-    /** Legacy full-copy snapshot / restore. */
+    /** Full-copy snapshot / restore (the test reference). */
     void snapshot(PredictorSnapshotFull &snap) const;
     void restore(const PredictorSnapshotFull &snap);
 
     /**
      * Disable the undo journal when only full-copy restore will be
-     * used (legacy checkpointing); journal-based restore is then
-     * illegal.
+     * used; journal-based restore is then illegal.
      */
     void setJournaling(bool on);
 

@@ -18,8 +18,9 @@
  * of order) mark the slot dead, and the window edges advance past
  * dead slots. Every slot in the window belongs to a branch still in
  * the fetch queue or ROB, so a capacity of robSize + fetchQueueSize
- * can never fill — the default sizing, which makes the pooled path
- * timing-identical to the legacy copy path.
+ * can never fill — the default sizing, under which fetch never
+ * stalls on the pool and recovery times exactly as if every branch
+ * carried its own full copy of the state.
  */
 
 #ifndef PRI_CORE_CHECKPOINT_POOL_HH

@@ -46,14 +46,10 @@ OutOfOrderCore::OutOfOrderCore(
         shared_traces,
     const workload::ReplayTape *tape)
     : cfg(config), sg(stats), st(stats), prog(program),
-      traces(config.tracedFrontEnd
-                 ? (shared_traces
-                        ? std::move(shared_traces)
-                        : workload::trace::TraceCache::global()
-                              .acquire(program))
-                 : nullptr),
-      walker(program, traces.get(),
-             traces != nullptr ? tape : nullptr),
+      traces(shared_traces ? std::move(shared_traces)
+                           : workload::trace::TraceCache::global()
+                                 .acquire(program)),
+      walker(program, traces.get(), tape),
       rn(config.rename, stats),
       mem(config.mem),
       lsq(config.lsqSize), robHot(config.robSize),
@@ -96,29 +92,24 @@ OutOfOrderCore::OutOfOrderCore(
         actualAvail_[cls].assign(cfg.rename.renameTagSpace(), 0);
     }
     unretiredBits.assign((cfg.robSize + 63) / 64, 0);
-    schedQueue.reserve(cfg.schedSize);
 
-    if (cfg.eventWakeup) {
-        for (auto cls : {0, 1})
-            consHead_[cls].assign(cfg.rename.renameTagSpace(), -1);
-        cons_.assign(2 * cfg.robSize, ConsLinks{});
-        readyBits_.assign((cfg.robSize + 63) / 64, 0);
-        wakeBucketHead_.assign(kWheelSize, -1);
-        wake_.assign(cfg.robSize, WakeLinks{});
-    }
+    for (auto cls : {0, 1})
+        consHead_[cls].assign(cfg.rename.renameTagSpace(), -1);
+    cons_.assign(2 * cfg.robSize, ConsLinks{});
+    readyBits_.assign((cfg.robSize + 63) / 64, 0);
+    wakeBucketHead_.assign(kWheelSize, -1);
+    wake_.assign(cfg.robSize, WakeLinks{});
 
     // Pre-size the cycle-loop buffers so the steady state never
     // touches the heap. Each in-flight instruction has at most one
     // outstanding wheel event, so robSize bounds per-slot demand
     // (squash-stale entries aside, which core.scratchGrowths would
     // expose).
-    if (cfg.hoistScratch) {
-        for (auto &slot : wheel)
-            slot.reserve(cfg.robSize);
-        eventScratch.reserve(cfg.robSize);
-        eventScratch2.reserve(cfg.robSize);
-        freedScratch.reserve(cfg.robSize);
-    }
+    for (auto &slot : wheel)
+        slot.reserve(cfg.robSize);
+    eventScratch.reserve(cfg.robSize);
+    eventScratch2.reserve(cfg.robSize);
+    freedScratch.reserve(cfg.robSize);
 
     // Map-node pool for rename checkpoints: pre-fill to the
     // checkpoint-capacity bound so the first time the in-flight
@@ -127,46 +118,20 @@ OutOfOrderCore::OutOfOrderCore(
     // allocating.
     rn.reserveCheckpointNodes(cfg.ckptPoolSize());
 
-    if (cfg.pooledCheckpoints) {
-        // One arch-undo record per in-flight dest-writer bounds the
-        // journals' live spans; size for that plus the dead prefix
-        // the trim policy tolerates, so steady state never grows.
-        archJournal.reserveForLiveSpan(cfg.robSize +
-                                       cfg.fetchQueueSize());
-        ras.reserveJournal(cfg.robSize + cfg.fetchQueueSize());
-    } else {
-        // Only full-copy RAS restore will be used; don't pay for
-        // journal appends on every push.
-        ras.setJournaling(false);
-    }
+    // One arch-undo record per in-flight dest-writer bounds the
+    // journals' live spans; size for that plus the dead prefix the
+    // trim policy tolerates, so steady state never grows.
+    archJournal.reserveForLiveSpan(cfg.robSize + cfg.fetchQueueSize());
+    ras.reserveJournal(cfg.robSize + cfg.fetchQueueSize());
 
     // Ideal-PRI payload rewrite: convert every in-flight consumer of
     // (cls, preg) to carry the inlined immediate (paper §3.3's
-    // fully-associative payload RAM search-and-update). The event
-    // path walks the register's consumer list — O(consumers) — the
-    // legacy path models the CAM naively as a full ROB walk.
+    // fully-associative payload RAM search-and-update), walking the
+    // register's consumer list.
     rn.setIdealInlineHook([this](isa::RegClass cls,
                                  isa::PhysRegId preg,
                                  uint64_t value) {
-        if (cfg.eventWakeup) {
-            idealInlineRewrite(cls, preg, value);
-            return;
-        }
-        for (uint32_t i = 0, idx = robHead; i < robCount;
-             ++i, idx = (idx + 1) % cfg.robSize) {
-            RobHot &e = robHot[idx];
-            if (!e.valid)
-                continue;
-            for (auto &s : e.src) {
-                if (s.valid && !s.imm && s.refHeld && s.cls == cls &&
-                    s.preg == preg) {
-                    rn.consumerSquashed(s); // releases the reference
-                    s.imm = true;
-                    s.value = value;
-                    s.preg = isa::kInvalidPhysReg;
-                }
-            }
-        }
+        idealInlineRewrite(cls, preg, value);
     });
 }
 
@@ -229,7 +194,7 @@ OutOfOrderCore::scheduleEvent(uint64_t when, EventType type,
 }
 
 // ---------------------------------------------------------------
-// Event-driven wakeup (cfg.eventWakeup)
+// Event-driven wakeup
 //
 // These helpers run several times per committed instruction, so
 // they carry no per-operation asserts; checkInvariants() audits
@@ -282,7 +247,6 @@ OutOfOrderCore::readyInsert(uint32_t idx)
         wakeUnlink(idx);
     e.inReadyList = true;
     ++readyCount_;
-    ++wk.readyInserts;
     readyBits_[idx / 64] |= uint64_t{1} << (idx % 64);
 }
 
@@ -343,7 +307,6 @@ OutOfOrderCore::drainWakeups()
         wake_[n].next = -1;
         wake_[n].prev = -1;
         wake_[n].at = kNever;
-        ++wk.wakeupsDrained;
         wakeVerify(static_cast<uint32_t>(n));
         n = next;
     }
@@ -397,10 +360,11 @@ OutOfOrderCore::scanDefer(uint32_t idx)
     // miss, replay). Re-predict instead of leaving it to be
     // re-scanned and skipped every cycle -- a load-miss consumer
     // would otherwise linger for the full miss round-trip. Re-entry
-    // happens no later than the entry can next become poll-ready
-    // (timed wake at the recomputed cycle, or the unscheduled
-    // producer's broadcast), so select still sees a superset of the
-    // poll-ready entries and issue decisions are unchanged.
+    // happens no later than the entry can next pass select's
+    // readiness predicate (timed wake at the recomputed cycle, or
+    // the unscheduled producer's broadcast), so select still sees a
+    // superset of the ready entries and issues exactly what a scan
+    // of every waiting entry would.
     uint64_t when;
     if (!predictReadyCycle(idx, when)) {
         readyRemove(idx);
@@ -418,10 +382,8 @@ void
 OutOfOrderCore::broadcastAvail(isa::RegClass cls,
                                isa::PhysRegId preg)
 {
-    ++wk.broadcasts;
     for (int32_t n = consHead_[static_cast<unsigned>(cls)][preg];
          n != -1; n = cons_[n].next) {
-        ++wk.consumersWoken;
         wakeVerify(static_cast<uint32_t>(n) >> 1);
     }
 }
@@ -642,11 +604,6 @@ OutOfOrderCore::fireFault()
 bool
 OutOfOrderCore::applyWakeLinkFault(uint64_t rnd)
 {
-    // Consumer lists exist only on the event-wakeup path; on the
-    // legacy polling path the site has no storage, so the strike is
-    // structurally masked.
-    if (!cfg.eventWakeup)
-        return false;
     const unsigned tags = cfg.rename.renameTagSpace();
     const unsigned total = 2 * tags;
     const unsigned start =
@@ -743,11 +700,8 @@ OutOfOrderCore::processEvents()
     // misprediction and replay every back-to-back dependent pair.
     // The drain partitions events by pass so each runs as one tight
     // loop.
-    HotVec<Event> local_first, local_second;
-    HotVec<Event> &first =
-        cfg.hoistScratch ? eventScratch : local_first;
-    HotVec<Event> &second =
-        cfg.hoistScratch ? eventScratch2 : local_second;
+    HotVec<Event> &first = eventScratch;
+    HotVec<Event> &second = eventScratch2;
     first.clear();
     second.clear();
     const size_t cap1 = first.capacity();
@@ -759,10 +713,8 @@ OutOfOrderCore::processEvents()
         (first_pass ? first : second).push_back(ev);
     }
     slot.clear();
-    if (cfg.hoistScratch &&
-        (first.capacity() != cap1 || second.capacity() != cap2)) {
+    if (first.capacity() != cap1 || second.capacity() != cap2)
         ++st.scratchGrowths;
-    }
     for (const HotVec<Event> *events : {&first, &second}) {
         for (const Event &ev : *events) {
             const RobHot &e = robHot[ev.robIdx];
@@ -801,22 +753,9 @@ OutOfOrderCore::replayInst(uint32_t idx)
     e.inScheduler = true;
     e.readyForSelect = cycle + 1;
     ++schedCount_;
-    if (cfg.eventWakeup) {
-        // readyForSelect = cycle + 1 floors the wake in the future,
-        // so a replayed entry is (exactly like polling) eligible no
-        // earlier than next cycle's select.
-        wakeVerify(idx);
-        return;
-    }
-    // Sorted re-insert: the scheduler queue is kept in seq order at
-    // all times (rename appends monotonically, erases preserve
-    // order), so selectStage never has to sort.
-    const auto pos = std::upper_bound(
-        schedQueue.begin(), schedQueue.end(), idx,
-        [this](uint32_t a, uint32_t b) {
-            return robHot[a].seq < robHot[b].seq;
-        });
-    schedQueue.insert(pos, idx);
+    // readyForSelect = cycle + 1 floors the wake in the future, so a
+    // replayed entry is eligible no earlier than next cycle's select.
+    wakeVerify(idx);
 }
 
 void
@@ -863,7 +802,7 @@ OutOfOrderCore::onExeStart(uint32_t idx)
         uint64_t &sa = specAvail(e.dstCls, e.dstPreg);
         const bool changed = sa != cycle + lat;
         sa = cycle + lat;
-        if (cfg.eventWakeup && changed)
+        if (changed)
             broadcastAvail(e.dstCls, e.dstPreg);
     }
     scheduleEvent(cycle + lat, EventType::ExeComplete, idx);
@@ -882,7 +821,7 @@ OutOfOrderCore::onExeComplete(uint32_t idx)
         const bool changed = sa != cycle;
         sa = cycle;
         actualAvail(e.dstCls, e.dstPreg) = cycle;
-        if (cfg.eventWakeup && changed)
+        if (changed)
             broadcastAvail(e.dstCls, e.dstPreg);
     }
     // Consumers are done with their operands (reads happened in the
@@ -890,7 +829,7 @@ OutOfOrderCore::onExeComplete(uint32_t idx)
     // links retire with them.
     for (unsigned i = 0; i < 2; ++i) {
         auto &s = e.src[i];
-        if (cfg.eventWakeup && s.valid && !s.imm && s.refHeld)
+        if (s.valid && !s.imm && s.refHeld)
             consUnlink(idx, i);
         rn.consumerDone(s);
     }
@@ -995,13 +934,11 @@ OutOfOrderCore::releaseCkptRef(CkptRef &ref)
 void
 OutOfOrderCore::flushFetchBuffer()
 {
-    if (cfg.pooledCheckpoints) {
-        const uint32_t cap = static_cast<uint32_t>(fetchBuf.size());
-        for (uint32_t i = 0; i < fetchCount; ++i) {
-            FetchedInst &f = fetchBuf[(fetchHead + i) % cap];
-            if (f.ckptRef.valid())
-                releaseCkptRef(f.ckptRef);
-        }
+    const uint32_t cap = static_cast<uint32_t>(fetchBuf.size());
+    for (uint32_t i = 0; i < fetchCount; ++i) {
+        FetchedInst &f = fetchBuf[(fetchHead + i) % cap];
+        if (f.ckptRef.valid())
+            releaseCkptRef(f.ckptRef);
     }
     fetchHead = 0;
     fetchCount = 0;
@@ -1051,8 +988,7 @@ OutOfOrderCore::resolveBranch(uint32_t idx)
         // again, so PRI's checkpoint references retire now.
         rn.resolveCheckpoint(e.ckptId);
         e.ckptResolved = true;
-        if (cfg.pooledCheckpoints)
-            releaseCkptRef(e.ckptRef);
+        releaseCkptRef(e.ckptRef);
         return;
     }
 
@@ -1064,49 +1000,31 @@ OutOfOrderCore::resolveBranch(uint32_t idx)
 
     squashAfter(idx);
 
-    if (cfg.pooledCheckpoints) {
-        CheckpointSlot &slot = ckptPool.get(e.ckptRef);
+    CheckpointSlot &slot = ckptPool.get(e.ckptRef);
 
-        // Walker back onto the correct path.
-        restoreWalker(slot.walker);
-        steerResolvedBranch(e);
+    // Walker back onto the correct path.
+    restoreWalker(slot.walker);
+    steerResolvedBranch(e);
 
-        // Predictor state repair.
-        uint64_t h = slot.bp.history;
-        if (e.usedPredictor)
-            h = (h << 1) | (wi.taken ? 1 : 0);
-        predictor.setHistory(h);
-        ras.restore(slot.bp);
-        if (wi.isCall)
-            ras.push(wi.fallThrough);
-        else if (wi.isReturn)
-            ras.pop();
+    // Predictor state repair.
+    uint64_t h = slot.bp.history;
+    if (e.usedPredictor)
+        h = (h << 1) | (wi.taken ? 1 : 0);
+    predictor.setHistory(h);
+    ras.restore(slot.bp);
+    if (wi.isCall)
+        ras.push(wi.fallThrough);
+    else if (wi.isReturn)
+        ras.pop();
 
-        // Speculative architectural values: unwind the journal to
-        // this branch's rename point (a resolving branch has
-        // renamed, so archSeq is assigned).
-        PRI_ASSERT(slot.archSeq != CheckpointSlot::kUnrenamed,
-                   "resolving branch never renamed");
-        archJournal.unwindTo(slot.archSeq,
-                             [this](const ArchUndo &u) {
-                                 specArch[u.flat] = u.value;
-                             });
-    } else {
-        restoreWalker(e.walkerCkpt);
-        steerResolvedBranch(e);
-
-        uint64_t h = e.bpSnap.history;
-        if (e.usedPredictor)
-            h = (h << 1) | (wi.taken ? 1 : 0);
-        predictor.setHistory(h);
-        ras.restore(e.bpSnap);
-        if (wi.isCall)
-            ras.push(wi.fallThrough);
-        else if (wi.isReturn)
-            ras.pop();
-
-        specArch = e.archSnap;
-    }
+    // Speculative architectural values: unwind the journal to this
+    // branch's rename point (a resolving branch has renamed, so
+    // archSeq is assigned).
+    PRI_ASSERT(slot.archSeq != CheckpointSlot::kUnrenamed,
+               "resolving branch never renamed");
+    archJournal.unwindTo(slot.archSeq, [this](const ArchUndo &u) {
+        specArch[u.flat] = u.value;
+    });
 
     flushFetchBuffer();
     fetchResumeCycle = cycle + cfg.redirectPenalty;
@@ -1115,17 +1033,14 @@ OutOfOrderCore::resolveBranch(uint32_t idx)
     // branch will ever restore it.
     rn.resolveCheckpoint(e.ckptId);
     e.ckptResolved = true;
-    if (cfg.pooledCheckpoints)
-        releaseCkptRef(e.ckptRef);
+    releaseCkptRef(e.ckptRef);
 }
 
 void
 OutOfOrderCore::squashAfter(uint32_t branch_idx)
 {
     const uint32_t stop = (branch_idx + 1) % cfg.robSize;
-    HotVec<Freed> local;
-    HotVec<Freed> &to_free =
-        cfg.hoistScratch ? freedScratch : local;
+    HotVec<Freed> &to_free = freedScratch;
     to_free.clear();
 
     const uint32_t count_before = robCount;
@@ -1135,20 +1050,18 @@ OutOfOrderCore::squashAfter(uint32_t branch_idx)
         RobHot &y = robHot[last];
         RobCold &yc = robCold[last];
         PRI_ASSERT(y.valid);
-        if (cfg.eventWakeup) {
-            // Eager unwind of the wakeup index (no journal): drop
-            // consumer-list links, the ready-list node, and any
-            // pending timed wakeup before the entry dies.
-            for (unsigned i = 0; i < 2; ++i) {
-                const auto &s = y.src[i];
-                if (s.valid && !s.imm && s.refHeld)
-                    consUnlink(last, i);
-            }
-            if (y.inReadyList)
-                readyRemove(last);
-            if (wake_[last].at != kNever)
-                wakeUnlink(last);
+        // Eager unwind of the wakeup index (no journal): drop
+        // consumer-list links, the ready-list node, and any pending
+        // timed wakeup before the entry dies.
+        for (unsigned i = 0; i < 2; ++i) {
+            const auto &s = y.src[i];
+            if (s.valid && !s.imm && s.refHeld)
+                consUnlink(last, i);
         }
+        if (y.inReadyList)
+            readyRemove(last);
+        if (wake_[last].at != kNever)
+            wakeUnlink(last);
         if (y.inScheduler) {
             y.inScheduler = false;
             --schedCount_;
@@ -1159,7 +1072,7 @@ OutOfOrderCore::squashAfter(uint32_t branch_idx)
             rn.discardCheckpoint(yc.ckptId);
             // A squashed branch that already resolved gave its slot
             // back then; only live refs are released here.
-            if (cfg.pooledCheckpoints && yc.ckptRef.valid())
+            if (yc.ckptRef.valid())
                 releaseCkptRef(yc.ckptRef);
         }
         if (y.hasDst) {
@@ -1186,14 +1099,6 @@ OutOfOrderCore::squashAfter(uint32_t branch_idx)
                    robCold[branch_idx].wi.pc,
                    robCold[branch_idx].wi.seq,
                    count_before - robCount);
-
-    // Drop squashed scheduler entries (legacy polling queue only;
-    // the event path unlinked them in the walk above).
-    if (!cfg.eventWakeup) {
-        std::erase_if(schedQueue, [this](uint32_t i) {
-            return !robHot[i].valid || !robHot[i].inScheduler;
-        });
-    }
 
     rn.restoreCheckpoint(robCold[branch_idx].ckptId);
     for (const Freed &f : to_free)
@@ -1333,149 +1238,85 @@ OutOfOrderCore::selectStage()
         portFaultFiredThisCycle_ = false;
     }
 
-    if (cfg.eventWakeup) {
-        // Timed wakeups land before select so entries predicted
-        // ready this cycle are eligible this cycle, like polling.
-        drainWakeups();
-        wk.readyOccAccum += readyCount_;
-        if (readyCount_ == 0)
-            return;
-
-        std::array<unsigned, 5> fu = {
-            cfg.numIntAlu, cfg.numIntMultDiv, cfg.numFpAlu,
-            cfg.numFpMultDiv, cfg.numMemPorts};
-        unsigned issued = 0;
-
-        // Oldest-first over the ready bitmap: walking the ROB ring
-        // from robHead visits slots in rename (seq) order, so age
-        // priority falls out of the word scan with no sorted
-        // structure to maintain. The head word is visited twice --
-        // once for the bits at/above robHead (oldest entries), once
-        // at the end for the wrapped bits below it. The set is a
-        // superset of the poll-ready entries (lazy removal), so
-        // re-apply the exact polling predicate per entry; entries
-        // whose predicted readiness regressed are skipped in place
-        // and issue identically to the polling path once true.
-        const size_t words = readyBits_.size();
-        const size_t hw = robHead / 64;
-        const unsigned hb = robHead % 64;
-        for (size_t wi = 0; wi <= words && issued < cfg.width; ++wi) {
-            const size_t w = (hw + wi) % words;
-            uint64_t bits = readyBits_[w];
-            if (wi == 0)
-                bits &= ~uint64_t{0} << hb;
-            else if (wi == words)
-                bits = hb ? bits & (~uint64_t{0} >> (64 - hb)) : 0;
-            while (bits != 0 && issued < cfg.width) {
-                const uint32_t idx = static_cast<uint32_t>(
-                    w * 64 + std::countr_zero(bits));
-                bits &= bits - 1;
-                RobHot &e = robHot[idx];
-                ++wk.selectScans;
-
-                if (e.readyForSelect > cycle ||
-                    !srcSpecReady(e.src[0]) ||
-                    !srcSpecReady(e.src[1])) {
-                    scanDefer(idx);
-                    continue;
-                }
-                const unsigned k = fuIndex(e.cls);
-                if (fu[k] == 0)
-                    continue;
-                // Port denial leaves the ready bit set: the entry
-                // is genuinely ready, just structurally starved,
-                // and retries from the same age position next
-                // cycle (no scanDefer — its prediction is fine).
-                if (cfg.prfReadPorts != 0 && !portRequest(idx))
-                    continue;
-                fu[k] -= 1;
-                ++issued;
-
-                readyRemove(idx);
-                e.inScheduler = false;
-                --schedCount_;
-                e.heldSlot = true;
-                ++schedHeld;
-                if (e.hasDst) {
-                    const unsigned pred_lat = isa::isLoad(e.cls)
-                        ? 1 + cfg.mem.dl1.latency
-                        : isa::execLatency(e.cls);
-                    specAvail(e.dstCls, e.dstPreg) =
-                        cycle + cfg.selectToExe + pred_lat;
-                    // Wake the dest's consumers. Predicted
-                    // readiness is at least one cycle out (every
-                    // latency >= 1), so near-wake parking may set a
-                    // ready bit mid-scan, but the parked entry's
-                    // predicate fails until its cycle arrives --
-                    // visiting or missing it this cycle issues
-                    // nothing either way.
-                    broadcastAvail(e.dstCls, e.dstPreg);
-                }
-                scheduleEvent(cycle + cfg.selectToExe,
-                              EventType::ExeStart, idx);
-                ++st.issuedInsts;
-                flight->record(FlightEvent::Issue, cycle,
-                               robCold[idx].wi.pc, e.seq,
-                               e.hasDst ? e.dstPreg : ~0u);
-            }
-        }
-        return;
-    }
-
-    wk.readyOccAccum += schedQueue.size();
-    if (schedQueue.empty())
+    // Timed wakeups land before select so entries predicted ready
+    // this cycle are eligible this cycle.
+    drainWakeups();
+    if (readyCount_ == 0)
         return;
 
-    // Oldest-first selection. The queue is maintained in seq order
-    // (monotone rename appends, sorted replay re-inserts,
-    // order-preserving erases), so no per-cycle sort is needed.
     std::array<unsigned, 5> fu = {cfg.numIntAlu, cfg.numIntMultDiv,
                                   cfg.numFpAlu, cfg.numFpMultDiv,
                                   cfg.numMemPorts};
     unsigned issued = 0;
 
-    for (auto it = schedQueue.begin();
-         it != schedQueue.end() && issued < cfg.width;) {
-        const uint32_t idx = *it;
-        RobHot &e = robHot[idx];
-        PRI_ASSERT(e.valid && e.inScheduler);
-        ++wk.selectScans;
+    // Oldest-first over the ready bitmap: walking the ROB ring from
+    // robHead visits slots in rename (seq) order, so age priority
+    // falls out of the word scan with no sorted structure to
+    // maintain. The head word is visited twice -- once for the bits
+    // at/above robHead (oldest entries), once at the end for the
+    // wrapped bits below it. The set is a superset of the ready
+    // entries (lazy removal), so the exact readiness predicate is
+    // re-applied per entry; entries whose predicted readiness
+    // regressed are skipped in place.
+    const size_t words = readyBits_.size();
+    const size_t hw = robHead / 64;
+    const unsigned hb = robHead % 64;
+    for (size_t wi = 0; wi <= words && issued < cfg.width; ++wi) {
+        const size_t w = (hw + wi) % words;
+        uint64_t bits = readyBits_[w];
+        if (wi == 0)
+            bits &= ~uint64_t{0} << hb;
+        else if (wi == words)
+            bits = hb ? bits & (~uint64_t{0} >> (64 - hb)) : 0;
+        while (bits != 0 && issued < cfg.width) {
+            const uint32_t idx = static_cast<uint32_t>(
+                w * 64 + std::countr_zero(bits));
+            bits &= bits - 1;
+            RobHot &e = robHot[idx];
 
-        if (e.readyForSelect > cycle || !srcSpecReady(e.src[0]) ||
-            !srcSpecReady(e.src[1])) {
-            ++it;
-            continue;
-        }
-        const unsigned k = fuIndex(e.cls);
-        if (fu[k] == 0) {
-            ++it;
-            continue;
-        }
-        if (cfg.prfReadPorts != 0 && !portRequest(idx)) {
-            ++it;
-            continue;
-        }
-        fu[k] -= 1;
-        ++issued;
+            if (e.readyForSelect > cycle || !srcSpecReady(e.src[0]) ||
+                !srcSpecReady(e.src[1])) {
+                scanDefer(idx);
+                continue;
+            }
+            const unsigned k = fuIndex(e.cls);
+            if (fu[k] == 0)
+                continue;
+            // Port denial leaves the ready bit set: the entry is
+            // genuinely ready, just structurally starved, and
+            // retries from the same age position next cycle (no
+            // scanDefer — its prediction is fine).
+            if (cfg.prfReadPorts != 0 && !portRequest(idx))
+                continue;
+            fu[k] -= 1;
+            ++issued;
 
-        e.inScheduler = false;
-        --schedCount_;
-        e.heldSlot = true;
-        ++schedHeld;
-        if (e.hasDst) {
-            const unsigned pred_lat = isa::isLoad(e.cls)
-                ? 1 + cfg.mem.dl1.latency
-                : isa::execLatency(e.cls);
-            specAvail(e.dstCls, e.dstPreg) =
-                cycle + cfg.selectToExe + pred_lat;
+            readyRemove(idx);
+            e.inScheduler = false;
+            --schedCount_;
+            e.heldSlot = true;
+            ++schedHeld;
+            if (e.hasDst) {
+                const unsigned pred_lat = isa::isLoad(e.cls)
+                    ? 1 + cfg.mem.dl1.latency
+                    : isa::execLatency(e.cls);
+                specAvail(e.dstCls, e.dstPreg) =
+                    cycle + cfg.selectToExe + pred_lat;
+                // Wake the dest's consumers. Predicted readiness is
+                // at least one cycle out (every latency >= 1), so
+                // near-wake parking may set a ready bit mid-scan,
+                // but the parked entry's predicate fails until its
+                // cycle arrives -- visiting or missing it this cycle
+                // issues nothing either way.
+                broadcastAvail(e.dstCls, e.dstPreg);
+            }
+            scheduleEvent(cycle + cfg.selectToExe, EventType::ExeStart,
+                          idx);
+            ++st.issuedInsts;
+            flight->record(FlightEvent::Issue, cycle,
+                           robCold[idx].wi.pc, e.seq,
+                           e.hasDst ? e.dstPreg : ~0u);
         }
-        scheduleEvent(cycle + cfg.selectToExe, EventType::ExeStart,
-                      idx);
-        it = schedQueue.erase(it);
-        ++st.issuedInsts;
-        flight->record(FlightEvent::Issue, cycle,
-                       robCold[idx].wi.pc, e.seq,
-                       e.hasDst ? e.dstPreg : ~0u);
     }
 }
 
@@ -1525,32 +1366,10 @@ OutOfOrderCore::renameStage()
         e.cls = wi.cls;
         e.readyForSelect = cycle + cfg.renameToSelect;
 
-        // Reset the cold half field-by-field: the legacy-only
-        // snapshot blocks at its tail (walkerCkpt / bpSnap /
-        // archSnap, ~700 B) are left untouched — they are fully
-        // overwritten before any read on the legacy branch path and
-        // never read on the pooled one.
+        c = RobCold{};
         c.wi = wi;
-        c.dst = isa::noReg();
-        c.dstGen = 0;
-        c.prevMap = rename::MapEntry{};
-        c.prevGen = 0;
-        c.wbValue = 0;
-        c.executed = false;
-        c.retired = false;
-        c.hasLsq = false;
-        c.portCorrupted = false;
-        c.replays = 0;
         c.fetchCycle = f.fetchCycle;
         c.renameCycle = cycle;
-        c.predTaken = false;
-        c.usedPredictor = false;
-        c.resolvedMispredict = false;
-        c.ckptResolved = false;
-        c.predTarget = 0;
-        c.ckptId = 0;
-        c.bpTok = branch::PredictToken{};
-        c.ckptRef = CkptRef{};
 
         // Source operands through the map (payload RAM fill).
         const isa::RegId srcs[2] = {wi.src1, wi.src2};
@@ -1580,7 +1399,7 @@ OutOfOrderCore::renameStage()
             // Journal the old value unless no live checkpoint could
             // ever unwind to before this write (pool empty: any
             // younger branch records a position at or after it).
-            if (cfg.pooledCheckpoints && !ckptPool.empty()) {
+            if (!ckptPool.empty()) {
                 archJournal.push(ArchUndo{
                     specArch[wi.dst.flat()],
                     static_cast<uint16_t>(wi.dst.flat())});
@@ -1601,37 +1420,27 @@ OutOfOrderCore::renameStage()
             c.predTarget = f.predTarget;
             c.usedPredictor = f.usedPredictor;
             c.bpTok = f.bpTok;
-            if (cfg.pooledCheckpoints) {
-                // The branch's recovery point includes its own dest
-                // write (matching the legacy snapshot, taken below
-                // after the dest block).
-                c.ckptRef = f.ckptRef;
-                f.ckptRef = CkptRef{};
-                ckptPool.get(c.ckptRef).archSeq = archJournal.seq();
-            } else {
-                c.bpSnap = f.bpSnap;
-                c.walkerCkpt = std::move(f.walkerCkpt);
-                c.archSnap = specArch;
-            }
+            // The branch's recovery point includes its own dest
+            // write: the journal position is taken after the dest
+            // block above.
+            c.ckptRef = f.ckptRef;
+            f.ckptRef = CkptRef{};
+            ckptPool.get(c.ckptRef).archSeq = archJournal.seq();
             c.ckptId = rn.createCheckpoint();
             noteFaultAccess(faults::FaultSite::CkptNode);
         }
 
         e.inScheduler = true;
         ++schedCount_;
-        if (cfg.eventWakeup) {
-            // Thread each pointer source onto its producer's
-            // consumer list, then arm the entry's first wakeup: a
-            // timed one if every source has a predicted time, else
-            // the unscheduled producer's broadcast re-verifies.
-            for (unsigned i = 0; i < 2; ++i) {
-                if (e.src[i].valid && !e.src[i].imm)
-                    consLink(idx, i);
-            }
-            wakeVerify(idx);
-        } else {
-            schedQueue.push_back(idx);
+        // Thread each pointer source onto its producer's consumer
+        // list, then arm the entry's first wakeup: a timed one if
+        // every source has a predicted time, else the unscheduled
+        // producer's broadcast re-verifies.
+        for (unsigned i = 0; i < 2; ++i) {
+            if (e.src[i].valid && !e.src[i].imm)
+                consLink(idx, i);
         }
+        wakeVerify(idx);
         unretiredBits[idx / 64] |= uint64_t{1} << (idx % 64);
         robTail = (robTail + 1) % cfg.robSize;
         ++robCount;
@@ -1674,7 +1483,7 @@ OutOfOrderCore::fetchStage()
         // slot, and walker.next() cannot be undone: stall the group
         // while the pool is exhausted (it never is at the default
         // auto size).
-        if (cfg.pooledCheckpoints && ckptPool.full()) {
+        if (ckptPool.full()) {
             if (w == 0)
                 ++st.ckptPoolStalls;
             return;
@@ -1695,16 +1504,10 @@ OutOfOrderCore::fetchStage()
             ++st.ckptsTaken;
 
             // Snapshot recovery state before speculative updates.
-            CheckpointSlot *slot = nullptr;
-            if (cfg.pooledCheckpoints) {
-                f.ckptRef = ckptPool.allocate();
-                slot = &ckptPool.get(f.ckptRef);
-                slot->bp.history = predictor.history();
-                ras.snapshot(slot->bp);
-            } else {
-                f.bpSnap.history = predictor.history();
-                ras.snapshot(f.bpSnap);
-            }
+            f.ckptRef = ckptPool.allocate();
+            CheckpointSlot &slot = ckptPool.get(f.ckptRef);
+            slot.bp.history = predictor.history();
+            ras.snapshot(slot.bp);
 
             bool pred_taken = true;
             if (!wi.isUncond) {
@@ -1730,10 +1533,7 @@ OutOfOrderCore::fetchStage()
             }
             f.predTaken = pred_taken;
             f.predTarget = pred_target;
-            if (cfg.pooledCheckpoints)
-                walker.checkpointInto(slot->walker);
-            else
-                f.walkerCkpt = walker.checkpoint();
+            walker.checkpointInto(slot.walker);
 
             // Steer the walker down the *fetched* direction. A
             // wrong direction walks the real wrong path; a wrong
@@ -1780,99 +1580,85 @@ OutOfOrderCore::checkInvariants() const
         const bool expect = robHot[i].valid && !robCold[i].retired;
         PRI_ASSERT(bit == expect, "unretired bitmap out of sync");
     }
-    if (cfg.eventWakeup) {
-        // Ready bitmap: bits, flags, and count in sync. (Seq order
-        // is structural -- the select scan walks the ROB ring from
-        // robHead -- so there is no ordering to audit.)
-        unsigned nready = 0;
-        for (uint32_t i = 0; i < cfg.robSize; ++i) {
-            const bool bit =
-                (readyBits_[i / 64] >> (i % 64)) & 1;
-            const RobHot &e = robHot[i];
-            PRI_ASSERT(bit == e.inReadyList,
-                       "ready bitmap out of sync");
-            if (bit) {
-                PRI_ASSERT(e.valid && e.inScheduler,
-                           "dead entry in the ready bitmap");
-                ++nready;
-            }
+    // Ready bitmap: bits, flags, and count in sync. (Seq order
+    // is structural -- the select scan walks the ROB ring from
+    // robHead -- so there is no ordering to audit.)
+    unsigned nready = 0;
+    for (uint32_t i = 0; i < cfg.robSize; ++i) {
+        const bool bit =
+            (readyBits_[i / 64] >> (i % 64)) & 1;
+        const RobHot &e = robHot[i];
+        PRI_ASSERT(bit == e.inReadyList,
+                   "ready bitmap out of sync");
+        if (bit) {
+            PRI_ASSERT(e.valid && e.inScheduler,
+                       "dead entry in the ready bitmap");
+            ++nready;
         }
-        PRI_ASSERT(nready == readyCount_, "ready count mismatch");
-        // Consumer lists: the linked nodes are exactly the live
-        // pointer reads (valid && !imm && refHeld) of live entries,
-        // each on the list of the register it names.
-        unsigned linked = 0;
-        for (unsigned cls = 0; cls < 2; ++cls) {
-            for (size_t p = 0; p < consHead_[cls].size(); ++p) {
-                for (int32_t n = consHead_[cls][p]; n != -1;
-                     n = cons_[n].next) {
-                    const uint32_t idx =
-                        static_cast<uint32_t>(n) >> 1;
-                    const auto &s = robHot[idx].src[n & 1];
-                    PRI_ASSERT(
-                        robHot[idx].valid && s.valid && !s.imm &&
-                            s.refHeld &&
-                            static_cast<unsigned>(s.cls) == cls &&
-                            s.preg == p,
-                        "consumer list out of sync");
-                    ++linked;
-                }
-            }
-        }
-        unsigned held = 0;
-        for (const auto &e : robHot) {
-            if (!e.valid)
-                continue;
-            for (const auto &s : e.src)
-                held += (s.valid && !s.imm && s.refHeld) ? 1 : 0;
-        }
-        PRI_ASSERT(linked == held, "consumer membership leak");
-        // Wake buckets: each pending wakeup bucketed exactly once,
-        // only for waiting, not-yet-ready entries.
-        unsigned bucketed = 0;
-        for (unsigned b = 0; b < kWheelSize; ++b) {
-            for (int32_t n = wakeBucketHead_[b]; n != -1;
-                 n = wake_[n].next) {
-                PRI_ASSERT(wake_[n].at != kNever &&
-                               wake_[n].at % kWheelSize == b,
-                           "wakeup in the wrong bucket");
-                PRI_ASSERT(robHot[n].inScheduler &&
-                               !robHot[n].inReadyList,
-                           "wakeup for a non-waiting entry");
-                ++bucketed;
-            }
-        }
-        unsigned pending = 0;
-        for (uint32_t i = 0; i < cfg.robSize; ++i)
-            pending += wake_[i].at != kNever ? 1 : 0;
-        PRI_ASSERT(bucketed == pending, "wake bucket leak");
-    } else {
-        PRI_ASSERT(schedQueue.size() == schedCount_,
-                   "polling queue count mismatch");
-        PRI_ASSERT(
-            std::is_sorted(schedQueue.begin(), schedQueue.end(),
-                           [this](uint32_t a, uint32_t b) {
-                               return robHot[a].seq <
-                                   robHot[b].seq;
-                           }),
-            "scheduler queue lost seq order");
     }
-    if (cfg.pooledCheckpoints) {
-        // Every live pool slot is owned by exactly one in-flight
-        // reference (fetch ring or ROB).
-        unsigned refs = 0;
-        for (uint32_t i = 0; i < cfg.robSize; ++i) {
-            if (robHot[i].valid && robCold[i].ckptRef.valid())
-                ++refs;
+    PRI_ASSERT(nready == readyCount_, "ready count mismatch");
+    // Consumer lists: the linked nodes are exactly the live
+    // pointer reads (valid && !imm && refHeld) of live entries,
+    // each on the list of the register it names.
+    unsigned linked = 0;
+    for (unsigned cls = 0; cls < 2; ++cls) {
+        for (size_t p = 0; p < consHead_[cls].size(); ++p) {
+            for (int32_t n = consHead_[cls][p]; n != -1;
+                 n = cons_[n].next) {
+                const uint32_t idx =
+                    static_cast<uint32_t>(n) >> 1;
+                const auto &s = robHot[idx].src[n & 1];
+                PRI_ASSERT(
+                    robHot[idx].valid && s.valid && !s.imm &&
+                        s.refHeld &&
+                        static_cast<unsigned>(s.cls) == cls &&
+                        s.preg == p,
+                    "consumer list out of sync");
+                ++linked;
+            }
         }
-        const uint32_t cap = static_cast<uint32_t>(fetchBuf.size());
-        for (uint32_t i = 0; i < fetchCount; ++i) {
-            if (fetchBuf[(fetchHead + i) % cap].ckptRef.valid())
-                ++refs;
-        }
-        PRI_ASSERT(refs == ckptPool.liveSlots(),
-                   "checkpoint pool leak or double ownership");
     }
+    unsigned held = 0;
+    for (const auto &e : robHot) {
+        if (!e.valid)
+            continue;
+        for (const auto &s : e.src)
+            held += (s.valid && !s.imm && s.refHeld) ? 1 : 0;
+    }
+    PRI_ASSERT(linked == held, "consumer membership leak");
+    // Wake buckets: each pending wakeup bucketed exactly once,
+    // only for waiting, not-yet-ready entries.
+    unsigned bucketed = 0;
+    for (unsigned b = 0; b < kWheelSize; ++b) {
+        for (int32_t n = wakeBucketHead_[b]; n != -1;
+             n = wake_[n].next) {
+            PRI_ASSERT(wake_[n].at != kNever &&
+                           wake_[n].at % kWheelSize == b,
+                       "wakeup in the wrong bucket");
+            PRI_ASSERT(robHot[n].inScheduler &&
+                           !robHot[n].inReadyList,
+                       "wakeup for a non-waiting entry");
+            ++bucketed;
+        }
+    }
+    unsigned pending = 0;
+    for (uint32_t i = 0; i < cfg.robSize; ++i)
+        pending += wake_[i].at != kNever ? 1 : 0;
+    PRI_ASSERT(bucketed == pending, "wake bucket leak");
+    // Every live pool slot is owned by exactly one in-flight
+    // reference (fetch ring or ROB).
+    unsigned refs = 0;
+    for (uint32_t i = 0; i < cfg.robSize; ++i) {
+        if (robHot[i].valid && robCold[i].ckptRef.valid())
+            ++refs;
+    }
+    const uint32_t cap = static_cast<uint32_t>(fetchBuf.size());
+    for (uint32_t i = 0; i < fetchCount; ++i) {
+        if (fetchBuf[(fetchHead + i) % cap].ckptRef.valid())
+            ++refs;
+    }
+    PRI_ASSERT(refs == ckptPool.liveSlots(),
+               "checkpoint pool leak or double ownership");
 }
 
 } // namespace pri::core

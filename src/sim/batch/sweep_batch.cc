@@ -133,20 +133,14 @@ SweepBatch::prepare()
         std::make_shared<const workload::SyntheticProgram>(
             profile, first.seed);
 
-    // Share one trace acquisition (and build the tape) iff at least
-    // one lane resolves to the traced front end after env overrides.
-    bool any_traced = false;
-    for (const size_t idx : group.indices)
-        any_traced |= coreConfigFor(all[idx]).tracedFrontEnd;
-    if (any_traced) {
-        shared.traces =
-            workload::trace::TraceCache::global().acquire(
-                *shared.program);
-        tape = std::make_unique<workload::ReplayTape>(
-            *shared.program, shared.traces.get(),
-            first.warmupInsts + first.measureInsts + kTapeSlack);
-        shared.tape = tape.get();
-    }
+    // One trace acquisition and one committed-path tape serve every
+    // lane.
+    shared.traces =
+        workload::trace::TraceCache::global().acquire(*shared.program);
+    tape = std::make_unique<workload::ReplayTape>(
+        *shared.program, shared.traces.get(),
+        first.warmupInsts + first.measureInsts + kTapeSlack);
+    shared.tape = tape.get();
 
     lanes.resize(group.indices.size());
     for (size_t i = 0; i < group.indices.size(); ++i) {

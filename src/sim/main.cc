@@ -32,19 +32,20 @@
  *
  * `--batch K` simulates up to K compatible sweep points per worker
  * thread as lanes of one shared-workload batch (default: auto);
- * results are byte-identical to `--batch 1`. PRI_LEGACY_BATCH=1
- * forces the serial path regardless.
+ * results are byte-identical to `--batch 1`.
  */
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/hashing.hh"
 #include "common/logging.hh"
 #include "faults/fault_arg.hh"
+#include "isa/reg.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
@@ -52,6 +53,48 @@
 
 namespace
 {
+
+/**
+ * The value of option @p opt as a whole decimal number no larger
+ * than @p max. Anything else (signs, blanks, trailing text,
+ * overflow) is a fatal usage error rather than a silent 0.
+ */
+uint64_t
+parseNumber(const std::string &opt, const char *text,
+            uint64_t max = std::numeric_limits<uint64_t>::max())
+{
+    const char *end = text + std::strlen(text);
+    uint64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ptr == text || ptr != end || ec != std::errc{} || v > max)
+        pri::fatal("{}: expected a whole number no larger than {}, "
+                   "got '{}'",
+                   opt, max, text);
+    return v;
+}
+
+/** Reject machine shapes the core cannot build (it would assert). */
+void
+validateParams(const pri::sim::RunParams &p)
+{
+    if (p.width != 4 && p.width != 8)
+        pri::fatal("-w: width must be 4 or 8, got {}", p.width);
+    // Virtual-physical renaming also holds back a storage reserve.
+    using pri::sim::Scheme;
+    const bool vp = p.scheme == Scheme::VirtualPhysical ||
+        p.scheme == Scheme::VirtualPhysicalPlusPri;
+    const unsigned floor = pri::isa::kNumLogicalRegs +
+        (vp ? pri::rename::RenameConfig{}.vpReserve : 0);
+    if (p.physRegs <= floor) {
+        pri::fatal("-p: {} needs more than {} physical registers, "
+                   "got {}",
+                   pri::sim::schemeName(p.scheme), floor, p.physRegs);
+    }
+    if (p.prfReadPorts == 1) {
+        pri::fatal("--read-ports: must be 0 (unlimited) or at least "
+                   "2, got 1");
+    }
+}
 
 pri::sim::Scheme
 parseScheme(const std::string &s)
@@ -156,52 +199,51 @@ main(int argc, char **argv)
                 pri::fatal("missing value for {}", a);
             return argv[++i];
         };
+        auto number = [&] { return parseNumber(a, next()); };
+        auto count = [&] {
+            return static_cast<unsigned>(parseNumber(
+                a, next(), std::numeric_limits<unsigned>::max()));
+        };
         if (a == "-b") {
             p.benchmark = next();
         } else if (a == "-w") {
-            p.width = static_cast<unsigned>(std::atoi(next()));
+            p.width = count();
         } else if (a == "-s") {
             p.scheme = parseScheme(next());
         } else if (a == "-p") {
-            p.physRegs = static_cast<unsigned>(std::atoi(next()));
+            p.physRegs = count();
         } else if (a == "-n") {
-            p.measureInsts =
-                static_cast<uint64_t>(std::atoll(next()));
+            p.measureInsts = number();
         } else if (a == "-u") {
-            p.warmupInsts =
-                static_cast<uint64_t>(std::atoll(next()));
+            p.warmupInsts = number();
         } else if (a == "-S") {
-            p.seed = static_cast<uint64_t>(std::atoll(next()));
+            p.seed = number();
         } else if (a == "-v") {
             verbose = true;
         } else if (a == "--read-ports") {
-            p.prfReadPorts =
-                static_cast<unsigned>(std::atoi(next()));
+            p.prfReadPorts = count();
         } else if (a == "--check-golden") {
             p.checkGolden = true;
         } else if (a == "--sweep") {
-            sweep = static_cast<size_t>(std::atoll(next()));
+            sweep = number();
         } else if (a == "--jobs") {
-            jobs = static_cast<unsigned>(std::atoi(next()));
+            jobs = count();
         } else if (a == "--batch") {
-            batch_lanes =
-                static_cast<unsigned>(std::atoi(next()));
+            batch_lanes = count();
         } else if (a == "--journal") {
             journal_path = next();
         } else if (a == "--timeout-ms") {
-            p.timeoutMs = static_cast<uint64_t>(std::atoll(next()));
+            p.timeoutMs = number();
         } else if (a == "--cycle-budget") {
-            p.cycleBudget =
-                static_cast<uint64_t>(std::atoll(next()));
+            p.cycleBudget = number();
         } else if (a == "--watchdog-cycles") {
-            p.watchdogCycles =
-                static_cast<uint64_t>(std::atoll(next()));
+            p.watchdogCycles = number();
         } else if (a == "--no-watchdog") {
             p.watchdog = false;
         } else if (a == "--retries") {
-            retries = static_cast<unsigned>(std::atoi(next()));
+            retries = count();
         } else if (a == "--backoff-ms") {
-            backoff_ms = static_cast<unsigned>(std::atoi(next()));
+            backoff_ms = count();
         } else if (a == "--inject-fault") {
             std::string err;
             if (!pri::faults::parseFaultArg(next(), fault, err))
@@ -231,6 +273,7 @@ main(int argc, char **argv)
         }
     }
 
+    validateParams(p);
     p.checkInvariants = true;
 
     if (sweep == 0) {

@@ -221,10 +221,7 @@ formatParamsLine(const RunParams &p)
     b.addU64(static_cast<uint64_t>(p.injectFault));
     b.addU64(p.injectFreeWithoutInline ? 1 : 0);
     b.addU64(p.prfReadPorts);
-    b.addU64(p.pooledCheckpoints ? 1 : 0);
-    b.addU64(p.eventWakeup ? 1 : 0);
     b.addU64(p.cycleBudget);
-    b.addU64(p.tracedFrontEnd ? 1 : 0);
     b.addU64(static_cast<uint64_t>(p.faultSpec.site));
     b.addU64(static_cast<uint64_t>(p.faultSpec.mutation));
     b.addU64(static_cast<uint64_t>(p.faultSpec.trigger));
@@ -266,21 +263,15 @@ parseParamsLine(const std::string &line, RunParams &p)
     p.injectFreeWithoutInline = v != 0;
     ok = ok && parseU64(f[13], v);
     p.prfReadPorts = static_cast<unsigned>(v);
-    ok = ok && parseU64(f[14], v);
-    p.pooledCheckpoints = v != 0;
+    ok = ok && parseU64(f[14], p.cycleBudget);
     ok = ok && parseU64(f[15], v);
-    p.eventWakeup = v != 0;
-    ok = ok && parseU64(f[16], p.cycleBudget);
-    ok = ok && parseU64(f[17], v);
-    p.tracedFrontEnd = v != 0;
-    ok = ok && parseU64(f[18], v);
     p.faultSpec.site = static_cast<faults::FaultSite>(v);
-    ok = ok && parseU64(f[19], v);
+    ok = ok && parseU64(f[16], v);
     p.faultSpec.mutation = static_cast<faults::FaultMutation>(v);
-    ok = ok && parseU64(f[20], v);
+    ok = ok && parseU64(f[17], v);
     p.faultSpec.trigger = static_cast<faults::FaultTrigger>(v);
-    ok = ok && parseU64(f[21], p.faultSpec.triggerArg);
-    ok = ok && parseU64(f[22], p.faultSpec.seed);
+    ok = ok && parseU64(f[18], p.faultSpec.triggerArg);
+    ok = ok && parseU64(f[19], p.faultSpec.seed);
     return ok;
 }
 

@@ -71,25 +71,24 @@ static_assert(sizeof(kResultFieldNames) / sizeof(const char *) ==
 
 /** Params-line format tag; bump when the paramsHash() audited
  *  field list changes. */
-constexpr const char *kParamsTag = "PRIP2";
+constexpr const char *kParamsTag = "PRIP3";
 
-/** Params-line fields: tag, the 22 hashed RunParams fields, "." */
-constexpr size_t kParamsFields = 24;
+/** Params-line fields: tag, the 19 hashed RunParams fields, "." */
+constexpr size_t kParamsFields = 21;
 
-/** The pinned PRIP2 field list — exactly paramsHash()'s digest
+/** The pinned PRIP3 field list — exactly paramsHash()'s digest
  *  order (see simulation.cc). */
 constexpr const char *kParamsFieldNames[] = {
     "tag", "benchmark", "width", "scheme", "physRegs",
     "warmupInsts", "measureInsts", "seed", "checkGolden",
     "schedSizeOverride", "narrowBitsOverride", "injectFault",
-    "injectFreeWithoutInline", "prfReadPorts", "pooledCheckpoints",
-    "eventWakeup", "cycleBudget", "tracedFrontEnd", "faultSite",
-    "faultMutation", "faultTrigger", "faultTriggerArg", "faultSeed",
-    "sentinel",
+    "injectFreeWithoutInline", "prfReadPorts", "cycleBudget",
+    "faultSite", "faultMutation", "faultTrigger", "faultTriggerArg",
+    "faultSeed", "sentinel",
 };
 static_assert(sizeof(kParamsFieldNames) / sizeof(const char *) ==
                   kParamsFields,
-              "PRIP2 field list and field count must move together");
+              "PRIP3 field list and field count must move together");
 
 /** Escape tabs/newlines/backslashes so a report is one field. */
 std::string escape(const std::string &s);

@@ -68,13 +68,11 @@ class SimulationRunner
      * (sim/batch/sweep_batch.hh). 1 (the default) disables
      * batching — every point runs the serial path; 0 selects
      * defaultBatchLanes(). Results, reports, errors, and journal
-     * contents are byte-identical at any lane count. The
-     * PRI_LEGACY_BATCH=1 environment variable forces 1 process-wide
-     * (whole-binary A/B escape hatch).
+     * contents are byte-identical at any lane count.
      */
     void setBatchLanes(unsigned lanes) { nBatchLanes = lanes; }
 
-    /** Configured lane count (before env override / auto). */
+    /** Configured lane count (before auto resolution). */
     unsigned batchLanes() const { return nBatchLanes; }
 
     /**
@@ -157,8 +155,7 @@ class SimulationRunner
     void runRetries(const RunParams &params, uint64_t key,
                     unsigned first_attempt, Outcome &out) const;
 
-    /** Lane count after the PRI_LEGACY_BATCH override and auto
-     *  resolution. */
+    /** Lane count after auto resolution. */
     unsigned effectiveBatchLanes() const;
 
     /** Batched runCaptured body: journal prefilter, batch

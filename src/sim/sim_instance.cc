@@ -22,15 +22,6 @@ coreConfigFor(const RunParams &params)
     core::CoreConfig cfg = params.width >= 8
         ? core::CoreConfig::eightWide(rn_cfg)
         : core::CoreConfig::fourWide(rn_cfg);
-    cfg.pooledCheckpoints = params.pooledCheckpoints;
-    if (std::getenv("PRI_LEGACY_CKPTS") != nullptr)
-        cfg.pooledCheckpoints = false;
-    cfg.eventWakeup = params.eventWakeup;
-    if (std::getenv("PRI_LEGACY_WAKEUP") != nullptr)
-        cfg.eventWakeup = false;
-    cfg.tracedFrontEnd = params.tracedFrontEnd;
-    if (std::getenv("PRI_LEGACY_WALKER") != nullptr)
-        cfg.tracedFrontEnd = false;
     if (params.schedSizeOverride)
         cfg.schedSize = params.schedSizeOverride;
     cfg.prfReadPorts = params.prfReadPorts;

@@ -83,10 +83,7 @@ paramsHash(const RunParams &params)
                     static_cast<uint64_t>(params.injectFault));
     h = hashCombine(h, params.injectFreeWithoutInline ? 1 : 0,
                     params.prfReadPorts);
-    h = hashCombine(h, params.pooledCheckpoints ? 1 : 0,
-                    params.eventWakeup ? 1 : 0);
-    h = hashCombine(h, params.cycleBudget,
-                    params.tracedFrontEnd ? 1 : 0);
+    h = hashCombine(h, params.cycleBudget);
     // The transient-fault spec changes the committed stream (and
     // the persisted archSig), so every field is audited: a campaign
     // injection must never be satisfied by a clean run's record or

@@ -4,7 +4,7 @@
  * batch of sweep points, collect the streamed results.
  *
  * The client is deliberately dumb — it serializes RunParams to
- * PRIP2 lines, reads RESULT/ERROR frames until DONE, and verifies
+ * PRIP3 lines, reads RESULT/ERROR frames until DONE, and verifies
  * that every served key matches the paramsHash it computed locally
  * (a daemon built from a different params-hash audit can therefore
  * never silently hand back results for the wrong point; the

@@ -9,7 +9,7 @@
  * records in the audited sim/result_codec.hh formats.
  *
  * Client -> daemon:
- *   SUBMIT            followed by one PRIP2 params line per point.
+ *   SUBMIT            followed by one PRIP3 params line per point.
  *   STATUS            human-readable daemon state.
  *   STATS             machine-readable "key value" counter lines.
  *
@@ -26,7 +26,7 @@
  *   OK                      followed by STATUS/STATS body.
  *
  * Daemon -> worker (over the per-worker socketpair):
- *   JOB <crash> <timeoutMs>  followed by one PRIP2 line. crash = 1
+ *   JOB <crash> <timeoutMs>  followed by one PRIP3 line. crash = 1
  *                            tells the worker to SIGKILL itself on
  *                            receipt (the --inject-fault drill).
  *   QUIT                     clean worker shutdown.

@@ -21,8 +21,8 @@ namespace
 std::string
 versionStamp()
 {
-    return fmtStr("PRISTORE1 {} {}\n", sim::codec::kResultTag,
-                  sim::codec::kResultFields);
+    return fmtStr("PRISTORE1 {} {} {}\n", sim::codec::kResultTag,
+                  sim::codec::kResultFields, sim::codec::kParamsTag);
 }
 
 /** Read a whole small file; empty string when absent. */

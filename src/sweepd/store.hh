@@ -5,14 +5,14 @@
  *
  * Layout: one directory holding
  *
- *   meta            "PRISTORE1 <resultTag> <fieldCount>" — the
- *                   version stamp. A codec change (new PRIJ3 field
- *                   list, i.e. a params-hash audit change shipping
- *                   alongside it) makes the stamp mismatch on open
- *                   and the store invalidates cleanly: every bucket
- *                   file is deleted and the stamp rewritten, so a
- *                   stale record can never be served under a
- *                   new-format key.
+ *   meta            "PRISTORE1 <resultTag> <fieldCount> <paramsTag>"
+ *                   — the version stamp. A codec change (new PRIJ
+ *                   result field list, or a new PRIP params tag,
+ *                   i.e. a params-hash audit change) makes the stamp
+ *                   mismatch on open and the store invalidates
+ *                   cleanly: every bucket file is deleted and the
+ *                   stamp rewritten, so a stale record can never be
+ *                   served under a new-format key.
  *   b<XX>.tsv       one file per hash bucket, XX = the key's top
  *                   byte in hex. Each line is one PRIJ3 record
  *                   (sim/result_codec.hh — the exact serializer the

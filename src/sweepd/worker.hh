@@ -4,7 +4,7 @@
  *
  * A worker is a child process the daemon talks to over a socketpair
  * with the JOB/RES/ERR frames of protocol.hh. Each job is one cache
- * miss: the worker deserializes the PRIP2 params line, runs it
+ * miss: the worker deserializes the PRIP3 params line, runs it
  * through a single-threaded sim::SimulationRunner — which arms the
  * forward-progress watchdog, the flight recorder, and error capture
  * exactly as an in-process sweep would — and replies with the PRIJ3

@@ -2,8 +2,7 @@
  * @file
  * Tests for pooled branch checkpointing: CheckpointPool slot and
  * generation semantics, pool-exhaustion behaviour on the full core
- * (fetch stalls, graceful IPC degradation), timing identity between
- * the pooled and legacy copy paths, and a property test that
+ * (fetch stalls, graceful IPC degradation), and a property test that
  * journal-based restore (RAS undo log + reusable walker slots) is
  * observationally identical to full-copy snapshots under random
  * checkpoint/steer/restore interleavings.
@@ -157,37 +156,6 @@ TEST(PooledCore, AutoSizedPoolNeverStalls)
     EXPECT_GT(h.stats.scalarValue("core.ckptsRestored"), 50.0);
     EXPECT_EQ(h.stats.scalarValue("core.ckptPoolStalls"), 0.0);
     h.cpu.checkInvariants();
-}
-
-TEST(PooledCore, TimingIdenticalToLegacySnapshots)
-{
-    // Pooled checkpointing changes how the simulator stores recovery
-    // state, not what the machine does: cycle counts and every
-    // branch statistic must match the legacy copy path exactly.
-    auto cfg = core::CoreConfig::fourWide(
-        rename::RenameConfig::priRefcountCkptcount(64, 7));
-    cfg.pooledCheckpoints = true;
-    CoreHarness pooled(cfg, "gcc", 17);
-    pooled.cpu.run(30000);
-
-    cfg.pooledCheckpoints = false;
-    CoreHarness legacy(cfg, "gcc", 17);
-    legacy.cpu.run(30000);
-
-    EXPECT_EQ(pooled.cpu.cycles(), legacy.cpu.cycles());
-    EXPECT_EQ(pooled.cpu.committedInsts(),
-              legacy.cpu.committedInsts());
-    for (const char *stat :
-         {"core.committedBranches", "core.branchMispredicts",
-          "core.squashedInsts", "core.ckptsTaken",
-          "core.ckptsRestored", "core.ckptPoolStalls",
-          "core.replays"}) {
-        EXPECT_EQ(pooled.stats.scalarValue(stat),
-                  legacy.stats.scalarValue(stat))
-            << stat;
-    }
-    pooled.cpu.checkInvariants();
-    legacy.cpu.checkInvariants();
 }
 
 TEST(PooledCore, TinyPoolStallsFetchButStillCompletes)

@@ -8,10 +8,9 @@
  *    (same cycles/IPC/occupancy; reports differ only by the four
  *    port-stat lines);
  *  - a binding budget is byte-identical across worker counts,
- *    batched-vs-serial execution, journal record/replay, and the
- *    event-driven vs legacy polling select paths — the arbitration
- *    decision must be a pure function of machine state, not of how
- *    the sweep infrastructure scheduled the run.
+ *    batched-vs-serial execution, and journal record/replay — the
+ *    arbitration decision must be a pure function of machine state,
+ *    not of how the sweep infrastructure scheduled the run.
  */
 
 #include <gtest/gtest.h>
@@ -190,22 +189,6 @@ TEST(PortIdentity, BindingBudgetSurvivesJournalRoundTrip)
     expectIdentical(cached[0].result, simulate(batch[0]));
     EXPECT_GT(cached[0].result.portStallsPerKInst, 0.0);
     std::remove(path.c_str());
-}
-
-/** The event-driven and legacy polling select paths arbitrate in
- *  the same ROB-age order, so a binding budget must not separate
- *  them. */
-TEST(PortIdentity, BindingBudgetIdenticalAcrossWakeupPaths)
-{
-    for (unsigned ports : {2u, 4u}) {
-        SCOPED_TRACE("ports " + std::to_string(ports));
-        auto p = portedParams(ports);
-        p.eventWakeup = true;
-        const auto ev = simulate(p);
-        p.eventWakeup = false;
-        const auto poll = simulate(p);
-        expectIdentical(ev, poll);
-    }
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the pri_sweepd sweep daemon stack: the shared PRIJ3 /
- * PRIP2 codec (field lists pinned, journal interop), the on-disk
+ * PRIP3 codec (field lists pinned, journal interop), the on-disk
  * content-addressed store (round trip, torn-write recovery, version
  * invalidation), and the daemon itself — in-flight dedup across
  * concurrent clients, worker-SIGKILL isolation with byte-identical
@@ -138,24 +138,23 @@ TEST(ResultCodec, PinsPrij3FieldList)
     EXPECT_STREQ(sim::codec::kResultTag, "PRIJ3");
 }
 
-/** Same pin for PRIP2: exactly the paramsHash()-audited fields,
+/** Same pin for PRIP3: exactly the paramsHash()-audited fields,
  *  which since the fault framework include the FaultSpec. */
-TEST(ResultCodec, PinsPrip2FieldList)
+TEST(ResultCodec, PinsPrip3FieldList)
 {
-    ASSERT_EQ(sim::codec::kParamsFields, 24u);
+    ASSERT_EQ(sim::codec::kParamsFields, 21u);
     const std::vector<std::string> want = {
         "tag", "benchmark", "width", "scheme", "physRegs",
         "warmupInsts", "measureInsts", "seed", "checkGolden",
         "schedSizeOverride", "narrowBitsOverride", "injectFault",
-        "injectFreeWithoutInline", "prfReadPorts",
-        "pooledCheckpoints", "eventWakeup", "cycleBudget",
-        "tracedFrontEnd", "faultSite", "faultMutation",
-        "faultTrigger", "faultTriggerArg", "faultSeed", "sentinel"};
+        "injectFreeWithoutInline", "prfReadPorts", "cycleBudget",
+        "faultSite", "faultMutation", "faultTrigger",
+        "faultTriggerArg", "faultSeed", "sentinel"};
     ASSERT_EQ(want.size(), sim::codec::kParamsFields);
     for (size_t i = 0; i < want.size(); ++i)
         EXPECT_EQ(sim::codec::kParamsFieldNames[i], want[i])
-            << "PRIP2 field " << i;
-    EXPECT_STREQ(sim::codec::kParamsTag, "PRIP2");
+            << "PRIP3 field " << i;
+    EXPECT_STREQ(sim::codec::kParamsTag, "PRIP3");
 }
 
 /** A params line carries the hash-audited fields bit-exactly: the
@@ -166,7 +165,6 @@ TEST(ResultCodec, ParamsLineRoundTripsTheHash)
     batch[0].prfReadPorts = 6;
     batch[1].checkGolden = true;
     batch[2].cycleBudget = 123456;
-    batch[3].tracedFrontEnd = false;
     batch[3].faultSpec.site = faults::FaultSite::MapTable;
     batch[3].faultSpec.mutation = faults::FaultMutation::StaleValue;
     batch[3].faultSpec.trigger = faults::FaultTrigger::SeededDraw;
@@ -182,6 +180,12 @@ TEST(ResultCodec, ParamsLineRoundTripsTheHash)
         EXPECT_EQ(parsed.timeoutMs, 777u);
     }
     sim::RunParams junk;
+    // A complete line of the previous format, which also carried the
+    // three retired path selectors.
+    EXPECT_FALSE(sim::codec::parseParamsLine(
+        "PRIP2\tgzip\t4\t0\t64\t2000\t8000\t1\t0\t0\t0\t0\t0\t0"
+        "\t1\t1\t0\t1\t0\t0\t0\t0\t0\t.",
+        junk));
     EXPECT_FALSE(sim::codec::parseParamsLine("PRIP2\tgzip", junk));
     EXPECT_FALSE(sim::codec::parseParamsLine("PRIP1\tgzip", junk));
     EXPECT_FALSE(sim::codec::parseParamsLine("", junk));
@@ -310,32 +314,43 @@ TEST(ResultStore, TornWriteRecovery)
  *  under a new-format key. */
 TEST(ResultStore, VersionStampInvalidation)
 {
-    const std::string dir = scratchDir("store_ver");
-    const auto batch = smallBatch(1);
-    const auto results = referenceResults(batch);
-    {
-        ResultStore store(dir);
-        for (size_t i = 0; i < batch.size(); ++i)
-            store.publish(sim::paramsHash(batch[i]), results[i]);
+    // A stamp from an older result codec, and one written before the
+    // params tag joined the stamp (same result codec, different
+    // params-hash audit).
+    const std::string stale_stamps[] = {
+        "PRISTORE1 PRIJ1 23\n",
+        std::string("PRISTORE1 ") + sim::codec::kResultTag + " " +
+            std::to_string(sim::codec::kResultFields) + "\n",
+    };
+    for (const std::string &stamp : stale_stamps) {
+        SCOPED_TRACE(stamp);
+        const std::string dir = scratchDir("store_ver");
+        const auto batch = smallBatch(1);
+        const auto results = referenceResults(batch);
+        {
+            ResultStore store(dir);
+            for (size_t i = 0; i < batch.size(); ++i)
+                store.publish(sim::paramsHash(batch[i]), results[i]);
+        }
+
+        std::FILE *meta = std::fopen((dir + "/meta").c_str(), "w");
+        ASSERT_NE(meta, nullptr);
+        std::fputs(stamp.c_str(), meta);
+        std::fclose(meta);
+
+        ResultStore reopened(dir);
+        EXPECT_TRUE(reopened.invalidatedOnOpen());
+        EXPECT_EQ(reopened.loadedEntries(), 0u);
+        sim::RunResult r;
+        EXPECT_FALSE(
+            reopened.lookup(sim::paramsHash(batch[0]), r));
+
+        // And the restamped store works again.
+        reopened.publish(sim::paramsHash(batch[0]), results[0]);
+        ResultStore again(dir);
+        EXPECT_FALSE(again.invalidatedOnOpen());
+        EXPECT_EQ(again.loadedEntries(), 1u);
     }
-
-    std::FILE *meta = std::fopen((dir + "/meta").c_str(), "w");
-    ASSERT_NE(meta, nullptr);
-    std::fputs("PRISTORE1 PRIJ1 23\n", meta);
-    std::fclose(meta);
-
-    ResultStore reopened(dir);
-    EXPECT_TRUE(reopened.invalidatedOnOpen());
-    EXPECT_EQ(reopened.loadedEntries(), 0u);
-    sim::RunResult r;
-    EXPECT_FALSE(
-        reopened.lookup(sim::paramsHash(batch[0]), r));
-
-    // And the restamped store works again.
-    reopened.publish(sim::paramsHash(batch[0]), results[0]);
-    ResultStore again(dir);
-    EXPECT_FALSE(again.invalidatedOnOpen());
-    EXPECT_EQ(again.loadedEntries(), 1u);
 }
 
 // ---------------------------------------------------------------
