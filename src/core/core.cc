@@ -111,10 +111,10 @@ OutOfOrderCore::OutOfOrderCore(
     eventScratch2.reserve(cfg.robSize);
     freedScratch.reserve(cfg.robSize);
 
-    // Map-node pool for rename checkpoints: pre-fill to the
+    // Rename checkpoint ring: reserve storage for the
     // checkpoint-capacity bound so the first time the in-flight
     // branch count hits a new high-water mark (possibly deep into
-    // measurement) createCheckpoint still reuses a node instead of
+    // measurement) createCheckpoint still claims a slot without
     // allocating.
     rn.reserveCheckpointNodes(cfg.ckptPoolSize());
 

@@ -1,6 +1,7 @@
 #include "rename_unit.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bitutils.hh"
 #include "common/hashing.hh"
@@ -151,10 +152,35 @@ RenameStats::RenameStats(StatGroup &sg)
 {
 }
 
+namespace
+{
+
+/** Starting value of the inlined-entry sentinel slot: far enough
+ *  from zero that no run can drive it down to a "maybe free"
+ *  count, so the -1 filter needs no sentinel test. */
+constexpr int32_t kSentinelBias = int32_t{1} << 30;
+
+/** First span of the checkpoint ring (a power of two). */
+constexpr size_t kMinRing = 8;
+
+} // namespace
+
+RenameUnit::ClassState::ClassState(unsigned num_phys,
+                                   unsigned num_arch)
+    : freeList(num_phys, num_arch), pregs(num_phys),
+      ckptRefs(num_phys + 1, 0)
+{
+    ckptRefs[num_phys] = kSentinelBias;
+    refStart.fill(lastWrite);
+}
+
 RenameUnit::RenameUnit(const RenameConfig &config, StatGroup &sg)
     : cfg(config), stats(sg),
       intState(config.renameTagSpace(), isa::kNumLogicalRegs),
-      fpState(config.renameTagSpace(), isa::kNumLogicalRegs)
+      fpState(config.renameTagSpace(), isa::kNumLogicalRegs),
+      ckptCounting_(config.earlyRelease ||
+                    (config.pri && !config.lazyCkptUpdate)),
+      mapsMayAlias_(config.injectFreeWithoutInline)
 {
     PRI_ASSERT(cfg.numPhysRegs > isa::kNumLogicalRegs,
                "need more physical than architected registers");
@@ -193,12 +219,6 @@ const RenameUnit::ClassState &
 RenameUnit::state(isa::RegClass cls) const
 {
     return cls == isa::RegClass::Int ? intState : fpState;
-}
-
-bool
-RenameUnit::useCkptRefs() const
-{
-    return cfg.earlyRelease || (cfg.pri && !cfg.lazyCkptUpdate);
 }
 
 bool
@@ -276,6 +296,7 @@ RenameUnit::renameDest(isa::RegId dst, uint64_t future_value)
 
     const isa::PhysRegId p = st.freeList.allocate();
     auto &info = st.pregs[p];
+    PRI_ASSERT(ckptCount(dst.cls, p) == 0);
     if (!cfg.virtualPhysical) {
         // Conventional allocation claims physical storage up front;
         // VP claims only at writeback, when the value exists.
@@ -293,11 +314,10 @@ RenameUnit::renameDest(isa::RegId dst, uint64_t future_value)
     info.writeCycle = 0;
     info.lastReadCycle = 0;
     info.everRead = false;
-    PRI_ASSERT(info.ckptRefs == 0);
 
     out.preg = p;
     out.gen = info.gen;
-    st.map.write(dst.idx, MapEntry::makePreg(p));
+    writeMap(st, dst.idx, MapEntry::makePreg(p));
     ++stats.destAllocs;
 
     // The unmapped previous register may now satisfy ER conditions.
@@ -306,78 +326,204 @@ RenameUnit::renameDest(isa::RegId dst, uint64_t future_value)
     return out;
 }
 
+void
+RenameUnit::writeMap(ClassState &st, unsigned i, const MapEntry &e)
+{
+    if (ckptCounting_) {
+        const MapEntry &old = st.map.read(i);
+        const size_t slot = old.imm ? st.pregs.size() : old.preg;
+        st.ckptRefs[slot] += implicitRefs(st, i);
+        st.refStart[i] = nextCkptId;
+        st.refDropped[i] = droppedCkpts_;
+        st.lastWrite = nextCkptId;
+    }
+    st.map.write(i, e);
+}
+
+int32_t
+RenameUnit::implicitRefs(const ClassState &st, unsigned i) const
+{
+    // Checkpoints created since the write, less those dropped since
+    // (which refDropped[i] adjusts for the ones not counted here).
+    return static_cast<int32_t>((nextCkptId - st.refStart[i]) -
+                                (droppedCkpts_ - st.refDropped[i]));
+}
+
+int
+RenameUnit::ckptCount(isa::RegClass cls, isa::PhysRegId p) const
+{
+    const auto &st = state(cls);
+    int n = st.ckptRefs[p];
+    if (!ckptCounting_)
+        return n;
+    if (mapsMayAlias_) {
+        for (unsigned i = 0; i < isa::kNumLogicalRegs; ++i) {
+            const MapEntry &e = st.map.read(i);
+            if (!e.imm && e.preg == p)
+                n += implicitRefs(st, i);
+        }
+    } else if (st.pregs[p].mappedBy >= 0) {
+        n += implicitRefs(
+            st, static_cast<unsigned>(st.pregs[p].mappedBy));
+    }
+    return n;
+}
+
 CkptId
 RenameUnit::createCheckpoint()
 {
-    const CkptId id = nextCkptId++;
-    if (!ckptNodePool.empty()) {
-        auto node = std::move(ckptNodePool.back());
-        ckptNodePool.pop_back();
-        node.key() = id;
-        Checkpoint &c = node.mapped();
-        c.intMap = intState.map.copy();
-        c.fpMap = fpState.map.copy();
-        c.resolved = false;
-        if (useCkptRefs())
-            takeCkptRefs(c, +1);
-        const auto res = ckpts.insert(std::move(node));
-        ckptSeq_.emplace_back(id, &res.position->second);
-    } else {
-        Checkpoint c;
-        c.intMap = intState.map.copy();
-        c.fpMap = fpState.map.copy();
-        if (useCkptRefs())
-            takeCkptRefs(c, +1);
-        const auto it = ckpts.emplace(id, std::move(c)).first;
-        ckptSeq_.emplace_back(id, &it->second);
-    }
+    if (ckptCount_ == ckptRing_.size())
+        growCkptRing();
+    Checkpoint &c = ckptAt(ckptCount_++);
+    c.id = nextCkptId++;
+    c.resolved = false;
+    c.explicitRefs = 0;
+    c.intMap = intState.map.copy();
+    c.fpMap = fpState.map.copy();
     ++stats.checkpointsCreated;
-    return id;
+    return c.id;
 }
 
 void
 RenameUnit::reserveCheckpointNodes(unsigned n)
 {
-    PRI_ASSERT(ckpts.empty(),
+    PRI_ASSERT(ckptCount_ == 0,
                "reserve before any checkpoints exist");
-    ckptSeq_.reserve(n);
-    while (ckptNodePool.size() < n) {
-        // Temporary keys only: reused nodes get their key
-        // rewritten in createCheckpoint, so ids stay untouched.
-        const CkptId key =
-            static_cast<CkptId>(ckptNodePool.size());
-        ckptNodePool.push_back(
-            ckpts.extract(ckpts.emplace(key, Checkpoint{}).first));
-    }
+    ckptRing_.reserve(std::bit_ceil(std::max<size_t>(n, kMinRing)));
 }
 
 void
-RenameUnit::recycleCkptNode(
-    std::map<CkptId, Checkpoint>::iterator it)
+RenameUnit::growCkptRing()
 {
-    const CkptId id = it->first;
-    const auto seq = std::lower_bound(
-        ckptSeq_.begin(), ckptSeq_.end(), id,
-        [](const auto &e, CkptId v) { return e.first < v; });
-    PRI_ASSERT(seq != ckptSeq_.end() && seq->first == id,
-               "checkpoint missing from the id-ordered mirror");
-    ckptSeq_.erase(seq);
-    ckptNodePool.push_back(ckpts.extract(it));
+    // The ring spans only as many slots as were ever live at once
+    // (rounded up to a power of two), so the slots a branch reuses
+    // stay cache-hot; reserved storage is claimed without
+    // allocating.
+    const size_t old_cap = ckptRing_.size();
+    ckptRing_.resize(old_cap == 0 ? kMinRing : 2 * old_cap);
+    ckptMask_ = ckptRing_.size() - 1;
+    // A full ring: the oldest live checkpoints run from the head to
+    // the old end, the youngest wrapped to the front; move those
+    // behind the old end so the window is contiguous again.
+    for (size_t j = 0; j < ckptHead_; ++j)
+        ckptRing_[old_cap + j] = ckptRing_[j];
 }
 
-void
-RenameUnit::takeCkptRefs(const Checkpoint &c, int delta)
+size_t
+RenameUnit::findCkpt(CkptId id) const
 {
-    for (unsigned i = 0; i < isa::kNumLogicalRegs; ++i) {
-        if (!c.intMap[i].imm) {
-            intState.pregs[c.intMap[i].preg].ckptRefs += delta;
-            if (delta < 0)
-                tryFree(isa::RegClass::Int, c.intMap[i].preg);
+    if (ckptCount_ == 0 || id < ckptAt(0).id)
+        return ckptCount_;
+    // Ids rise by at least one per position, so the id's offset from
+    // the oldest bounds its position; the bound is exact unless a
+    // discard left a gap below it. Commit releases (the oldest) and
+    // squash discards (the youngest) hit it on the first probe.
+    size_t n = std::min<CkptId>(id - ckptAt(0).id, ckptCount_ - 1);
+    if (ckptAt(n).id == id)
+        return n;
+    size_t lo = 0;
+    while (n > 0) {
+        const size_t half = n / 2;
+        if (ckptAt(lo + half).id < id) {
+            lo += half + 1;
+            n -= half + 1;
+        } else {
+            n = half;
         }
-        if (!c.fpMap[i].imm) {
-            fpState.pregs[c.fpMap[i].preg].ckptRefs += delta;
-            if (delta < 0)
-                tryFree(isa::RegClass::Fp, c.fpMap[i].preg);
+    }
+    return ckptAt(lo).id == id ? lo : ckptCount_;
+}
+
+void
+RenameUnit::eraseCkpt(size_t k)
+{
+    if (k == 0) {
+        ckptHead_ = (ckptHead_ + 1) & ckptMask_;
+    } else {
+        // Younger checkpoints close the gap; the youngest (the
+        // squash case) moves nothing.
+        for (size_t j = k; j + 1 < ckptCount_; ++j)
+            ckptAt(j) = ckptAt(j + 1);
+    }
+    --ckptCount_;
+}
+
+void
+RenameUnit::makeRefExplicit(Checkpoint &c, isa::RegClass cls,
+                            unsigned i)
+{
+    auto &st = state(cls);
+    const uint64_t bit = uint64_t{1}
+        << (i + (cls == isa::RegClass::Int ? 0 : 32));
+    if ((c.explicitRefs & bit) != 0 || st.refStart[i] > c.id)
+        return;
+    c.explicitRefs |= bit;
+    st.refDropped[i] -= 1; // c leaves the entry's implicit count now
+    const MapEntry &e =
+        (cls == isa::RegClass::Int ? c.intMap : c.fpMap)[i];
+    st.ckptRefs[e.imm ? st.pregs.size() : e.preg] += 1;
+}
+
+void
+RenameUnit::dropCkptRefs(const Checkpoint &c)
+{
+    // c leaves the implicit count of every current entry at once;
+    // the entries that never counted it implicitly are compensated
+    // one by one below.
+    ++droppedCkpts_;
+    for (auto cls : {isa::RegClass::Int, isa::RegClass::Fp}) {
+        auto &st = state(cls);
+        const auto &snap =
+            cls == isa::RegClass::Int ? c.intMap : c.fpMap;
+        const size_t sentinel = st.pregs.size();
+        // An entry rewritten since c was taken holds c's reference
+        // explicitly, on the copy's register; so does one whose copy
+        // was rewritten while it still held the reference implicitly.
+        uint32_t explicit_mask = static_cast<uint32_t>(
+            cls == isa::RegClass::Int ? c.explicitRefs
+                                      : c.explicitRefs >> 32);
+        if (st.lastWrite > c.id) {
+            for (unsigned i = 0; i < isa::kNumLogicalRegs; ++i)
+                explicit_mask |=
+                    static_cast<uint32_t>(st.refStart[i] > c.id) << i;
+        }
+
+        // A -1 can only free a register whose count drops to <= 0
+        // while it is unmapped; the sentinel never gets there.
+        auto drop_explicit = [&](unsigned i) {
+            const MapEntry &e = snap[i];
+            const size_t slot = e.imm ? sentinel : e.preg;
+            if (--st.ckptRefs[slot] <= 0 &&
+                st.pregs[slot].mappedBy < 0) {
+                tryFree(cls, static_cast<isa::PhysRegId>(slot));
+            }
+        };
+
+        if (!mapsMayAlias_) {
+            // An implicitly held register is still mapped, so its -1
+            // cannot free it: only the explicit entries need a visit.
+            for (uint32_t m = explicit_mask; m != 0; m &= m - 1) {
+                const auto i =
+                    static_cast<unsigned>(std::countr_zero(m));
+                st.refDropped[i] += 1;
+                drop_explicit(i);
+            }
+            continue;
+        }
+        // Aliased maps: an implicit holder may be unmapped, so visit
+        // every entry in index order, each -1 landing as it is
+        // visited.
+        for (unsigned i = 0; i < isa::kNumLogicalRegs; ++i)
+            st.refDropped[i] += 1;
+        for (unsigned i = 0; i < isa::kNumLogicalRegs; ++i) {
+            if ((explicit_mask >> i) & 1) {
+                drop_explicit(i);
+                continue;
+            }
+            st.refDropped[i] -= 1;
+            const MapEntry &e = snap[i];
+            if (!e.imm && st.pregs[e.preg].mappedBy < 0)
+                tryFree(cls, e.preg);
         }
     }
 }
@@ -385,7 +531,7 @@ RenameUnit::takeCkptRefs(const Checkpoint &c, int delta)
 bool
 RenameUnit::erCkptHorizonClear(uint64_t watermark) const
 {
-    return ckpts.empty() || ckpts.begin()->first > watermark;
+    return ckptCount_ == 0 || ckptAt(0).id > watermark;
 }
 
 void
@@ -401,37 +547,36 @@ RenameUnit::sweepErFrees()
 void
 RenameUnit::resolveCheckpoint(CkptId id)
 {
-    auto it = ckpts.find(id);
-    PRI_ASSERT(it != ckpts.end(), "resolve of unknown checkpoint");
-    PRI_ASSERT(!it->second.resolved, "checkpoint resolved twice");
-    it->second.resolved = true;
-    if (useCkptRefs())
-        takeCkptRefs(it->second, -1);
+    const size_t k = findCkpt(id);
+    PRI_ASSERT(k < ckptCount_, "resolve of unknown checkpoint");
+    Checkpoint &c = ckptAt(k);
+    PRI_ASSERT(!c.resolved, "checkpoint resolved twice");
+    c.resolved = true;
+    if (ckptCounting_)
+        dropCkptRefs(c);
 }
 
 void
 RenameUnit::releaseCheckpoint(CkptId id)
 {
-    auto it = ckpts.find(id);
-    PRI_ASSERT(it != ckpts.end(), "release of unknown checkpoint");
-    PRI_ASSERT(it->second.resolved,
+    const size_t k = findCkpt(id);
+    PRI_ASSERT(k < ckptCount_, "release of unknown checkpoint");
+    PRI_ASSERT(ckptAt(k).resolved,
                "checkpoint committed before the branch resolved");
-    const bool was_oldest = it == ckpts.begin();
-    recycleCkptNode(it);
-    if (cfg.earlyRelease && was_oldest)
+    eraseCkpt(k);
+    if (cfg.earlyRelease && k == 0)
         sweepErFrees();
 }
 
 void
 RenameUnit::discardCheckpoint(CkptId id)
 {
-    auto it = ckpts.find(id);
-    PRI_ASSERT(it != ckpts.end(), "discard of unknown checkpoint");
-    if (useCkptRefs() && !it->second.resolved)
-        takeCkptRefs(it->second, -1);
-    const bool was_oldest = it == ckpts.begin();
-    recycleCkptNode(it);
-    if (cfg.earlyRelease && was_oldest)
+    const size_t k = findCkpt(id);
+    PRI_ASSERT(k < ckptCount_, "discard of unknown checkpoint");
+    if (ckptCounting_ && !ckptAt(k).resolved)
+        dropCkptRefs(ckptAt(k));
+    eraseCkpt(k);
+    if (cfg.earlyRelease && k == 0)
         sweepErFrees();
     ++stats.checkpointsSquashed;
 }
@@ -439,11 +584,11 @@ RenameUnit::discardCheckpoint(CkptId id)
 void
 RenameUnit::restoreCheckpoint(CkptId id)
 {
-    auto it = ckpts.find(id);
-    PRI_ASSERT(it != ckpts.end(), "restore of unknown checkpoint");
-    PRI_ASSERT(!it->second.resolved,
+    const size_t k = findCkpt(id);
+    PRI_ASSERT(k < ckptCount_, "restore of unknown checkpoint");
+    const Checkpoint &c = ckptAt(k);
+    PRI_ASSERT(!c.resolved,
                "restore of an already-resolved checkpoint");
-    const Checkpoint &c = it->second;
 
     for (auto cls : {isa::RegClass::Int, isa::RegClass::Fp}) {
         auto &st = state(cls);
@@ -473,7 +618,12 @@ RenameUnit::restoreCheckpoint(CkptId id)
                     info.mappedBy = static_cast<int16_t>(i);
                 }
             }
-            st.map.write(i, e);
+            // An entry the wrong path left untouched keeps its
+            // implicit checkpoint references: same bytes, same counts.
+            const MapEntry &cur = st.map.read(i);
+            if (cur.imm != e.imm || cur.preg != e.preg ||
+                cur.value != e.value)
+                writeMap(st, i, e);
         }
         // Registers that fell out of the map may now be freeable.
         for (unsigned i = 0; i < isa::kNumLogicalRegs; ++i) {
@@ -544,9 +694,8 @@ RenameUnit::writeback(isa::RegId dst, isa::PhysRegId preg,
         // entry still names this register.
         const MapEntry &cur = st.map.read(dst.idx);
         if (!cur.imm && cur.preg == preg) {
-            if (!cfg.injectFreeWithoutInline) {
-                st.map.write(dst.idx, MapEntry::makeImm(value));
-            }
+            if (!cfg.injectFreeWithoutInline)
+                writeMap(st, dst.idx, MapEntry::makeImm(value));
             info.mappedBy = -1;
             info.erUnmapWatermark = nextCkptId - 1;
             ++stats.inlinedCurrentMap;
@@ -557,15 +706,19 @@ RenameUnit::writeback(isa::RegId dst, isa::PhysRegId preg,
         // Lazy scheme: walk every checkpointed copy and apply the
         // same check-and-update (Figure 7 "More checkpoints?" loop).
         if (cfg.lazyCkptUpdate) {
-            for (auto &[id, cp] : ckptSeq_) {
-                Checkpoint &c = *cp;
+            for (size_t k = 0; k < ckptCount_; ++k) {
+                Checkpoint &c = ckptAt(k);
                 auto &snap = dst.cls == isa::RegClass::Int
                     ? c.intMap : c.fpMap;
                 MapEntry &e = snap[dst.idx];
                 if (!e.imm && e.preg == preg) {
-                    if (useCkptRefs() && !c.resolved) {
-                        PRI_ASSERT(info.ckptRefs > 0);
-                        info.ckptRefs -= 1;
+                    if (ckptCounting_ && !c.resolved) {
+                        PRI_ASSERT(ckptCount(dst.cls, preg) > 0);
+                        // The copy's reference moves to the
+                        // inlined value it now holds.
+                        makeRefExplicit(c, dst.cls, dst.idx);
+                        st.ckptRefs[preg] -= 1;
+                        st.ckptRefs[st.pregs.size()] += 1;
                     }
                     e = MapEntry::makeImm(value);
                     ++stats.lazyCkptUpdates;
@@ -639,7 +792,8 @@ RenameUnit::commitDest(isa::RegClass cls, const MapEntry &prev,
     info.pendingCommitFree = true;
     tryFree(cls, prev.preg);
     PRI_ASSERT(!st.freeList.isAllocated(prev.preg) ||
-                   info.ckptRefs > 0 || info.consumerRefs > 0 ||
+                   ckptCount(cls, prev.preg) > 0 ||
+                   info.consumerRefs > 0 ||
                    info.mappedBy >= 0,
                "commit-time free unexpectedly blocked");
 }
@@ -659,7 +813,7 @@ RenameUnit::squashDest(isa::RegClass cls, isa::PhysRegId preg,
                "squashed register still mapped after restore");
     PRI_ASSERT(info.consumerRefs == 0,
                "squashed register still has consumers");
-    PRI_ASSERT(info.ckptRefs == 0,
+    PRI_ASSERT(ckptCount(cls, preg) == 0,
                "squashed register referenced by a live checkpoint");
     doFree(cls, preg, /*squashed=*/true);
 }
@@ -668,14 +822,14 @@ void
 RenameUnit::tryFree(isa::RegClass cls, isa::PhysRegId p)
 {
     auto &st = state(cls);
-    if (!st.freeList.isAllocated(p))
-        return;
     auto &info = st.pregs[p];
-    if (info.mappedBy >= 0)
+    // Implicit checkpoint references are never negative, so a
+    // positive explicit count settles the checkpoint test; only
+    // aliased maps need the full count.
+    if (info.mappedBy >= 0 || st.ckptRefs[p] > 0 ||
+        info.consumerRefs > 0 || !st.freeList.isAllocated(p))
         return;
-    if (info.ckptRefs > 0)
-        return;
-    if (info.consumerRefs > 0)
+    if (mapsMayAlias_ && ckptCount(cls, p) > 0)
         return;
 
     // The published ER scheme needs the unmap flag true in every
@@ -784,7 +938,39 @@ RenameUnit::consumerRefs(isa::RegClass cls, isa::PhysRegId p) const
 int
 RenameUnit::ckptRefs(isa::RegClass cls, isa::PhysRegId p) const
 {
-    return state(cls).pregs.at(p).ckptRefs;
+    (void)state(cls).pregs.at(p); // bounds-checked like its siblings
+    return ckptCount(cls, p);
+}
+
+std::string
+RenameUnit::auditCkptRefs() const
+{
+    for (auto cls : {isa::RegClass::Int, isa::RegClass::Fp}) {
+        const auto &st = state(cls);
+        std::vector<int> expect(st.pregs.size(), 0);
+        for (size_t k = 0; ckptCounting_ && k < ckptCount_; ++k) {
+            const Checkpoint &c = ckptAt(k);
+            if (c.resolved)
+                continue;
+            for (const MapEntry &e : cls == isa::RegClass::Int
+                     ? c.intMap
+                     : c.fpMap) {
+                if (!e.imm)
+                    ++expect[e.preg];
+            }
+        }
+        for (size_t p = 0; p < expect.size(); ++p) {
+            const int got =
+                ckptCount(cls, static_cast<isa::PhysRegId>(p));
+            if (got != expect[p]) {
+                return fmtStr("{} preg {}: {} checkpoint refs, live "
+                              "copies name it {} times",
+                              cls == isa::RegClass::Int ? "int" : "fp",
+                              p, got, expect[p]);
+            }
+        }
+    }
+    return {};
 }
 
 namespace
@@ -884,7 +1070,8 @@ RenameUnit::applyFault(const faults::FaultSpec &spec, uint64_t rnd)
             st.map.read((l + 1) % isa::kNumLogicalRegs),
             spec.mutation, rnd,
             static_cast<unsigned>(st.pregs.size()));
-        st.map.write(l, mutated);
+        writeMap(st, l, mutated);
+        mapsMayAlias_ = true;
         return true;
       }
 
@@ -914,21 +1101,27 @@ RenameUnit::applyFault(const faults::FaultSpec &spec, uint64_t rnd)
                 break;
             }
             st.freeList.corruptSlot(slot, v);
+            mapsMayAlias_ = true;
             return true;
         }
         return false;
 
       case FaultSite::CkptNode: {
-        if (ckptSeq_.empty())
+        if (ckptCount_ == 0)
             return false;
         const size_t k = static_cast<size_t>(
-            hashRange(ckptSeq_.size(), rnd, 0x636b70ULL));
-        Checkpoint &c = *ckptSeq_[k].second;
+            hashRange(ckptCount_, rnd, 0x636b70ULL));
+        Checkpoint &c = ckptAt(k);
         RamMapTable::Table &t = first == isa::RegClass::Int
             ? c.intMap
             : c.fpMap;
         const unsigned l = static_cast<unsigned>(
             hashRange(isa::kNumLogicalRegs, rnd, 0x6d6170ULL));
+        // The copy's old register keeps its reference; the struck
+        // value takes the -1 when c resolves.
+        if (ckptCounting_ && !c.resolved)
+            makeRefExplicit(c, first, l);
+        mapsMayAlias_ = true;
         t[l] = mutateMapEntry(
             t[l], t[(l + 1) % isa::kNumLogicalRegs], spec.mutation,
             rnd, static_cast<unsigned>(state(first).pregs.size()));
@@ -961,7 +1154,8 @@ RenameUnit::checkInvariants() const
         for (unsigned p = 0; p < st.pregs.size(); ++p) {
             const auto &info = st.pregs[p];
             PRI_ASSERT(info.consumerRefs >= 0);
-            PRI_ASSERT(info.ckptRefs >= 0);
+            PRI_ASSERT(
+                ckptCount(cls, static_cast<isa::PhysRegId>(p)) >= 0);
             if (info.mappedBy >= 0)
                 ++mapped_by;
             if (!st.freeList.isAllocated(

@@ -9,9 +9,11 @@
  *   - the duplicate-tolerant free list,
  *   - the per-physical-register scoreboard: complete flag, current
  *     mapping (the inverse of the map; its absence is the ER "unmap"
- *     flag), consumer reference counter, checkpoint reference
- *     counter, and pending-free state,
- *   - branch checkpoints (full map copies, R10000-style).
+ *     flag), consumer reference counter, and pending-free state,
+ *   - a dense checkpoint reference count per physical register,
+ *     kept incrementally (see ClassState),
+ *   - branch checkpoints: copies of both map tables (R10000-style
+ *     shadow maps) held in one age-ordered ring.
  *
  * The schemes of paper §3/§5 are switchable via RenameConfig:
  *   - Base: previous mapping freed when the redefining instruction
@@ -31,10 +33,10 @@
 #ifndef PRI_RENAME_RENAME_UNIT_HH
 #define PRI_RENAME_RENAME_UNIT_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <map>
 #include <vector>
 
 #include "common/arena.hh"
@@ -221,15 +223,22 @@ class RenameUnit
 
     // ---- branch checkpoints ----
 
-    /** Checkpoint both map tables (and take checkpoint references). */
+    /**
+     * Checkpoint both map tables. Taking the checkpoint references
+     * costs O(1): every current entry holds them implicitly until it
+     * is next rewritten.
+     */
     CkptId createCheckpoint();
 
     /**
-     * Pre-fill the checkpoint node pool so createCheckpoint never
-     * allocates, even the first time the in-flight branch count
-     * reaches a new high-water mark. Call once, before renaming
-     * starts, with an upper bound on simultaneously live
-     * checkpoints (the core passes its checkpoint-pool capacity).
+     * Reserve checkpoint-ring storage once for @p n simultaneously
+     * live checkpoints, so createCheckpoint never allocates, even
+     * the first time the in-flight branch count reaches a new
+     * high-water mark. Call before renaming starts (the core passes
+     * its checkpoint-pool capacity). The ring's span still grows by
+     * doubling, inside the reservation, as the live count first
+     * reaches each power of two; only an unreserved ring (unit
+     * tests), or one asked to hold more than @p n, allocates.
      */
     void reserveCheckpointNodes(unsigned n);
 
@@ -319,11 +328,23 @@ class RenameUnit
     unsigned occupancy(isa::RegClass cls) const;
     bool isAllocated(isa::RegClass cls, isa::PhysRegId p) const;
     int consumerRefs(isa::RegClass cls, isa::PhysRegId p) const;
+    /** Unresolved checkpoints naming @p p: the count tryFree sees. */
     int ckptRefs(isa::RegClass cls, isa::PhysRegId p) const;
-    size_t liveCheckpoints() const { return ckpts.size(); }
+    size_t liveCheckpoints() const { return ckptCount_; }
 
     /** Check internal invariants; panics on violation. */
     void checkInvariants() const;
+
+    /**
+     * Test oracle: recount every register's checkpoint references
+     * from the live, unresolved checkpoint copies and compare them
+     * with ckptRefs(). Returns an empty string when they agree, else
+     * a description of the first mismatch. Only meaningful without
+     * fault injection (a struck copy legitimately diverges), which
+     * is why checkInvariants(), the golden audit hook, does not call
+     * it.
+     */
+    std::string auditCkptRefs() const;
 
     // ---- transient-fault hook (src/faults) ----
 
@@ -335,7 +356,10 @@ class RenameUnit
      * bookkeeping a real strike could not reach (mappedBy,
      * allocated[], reference counters), so the downstream outcome —
      * masked, detected, silent corruption, hang, crash — emerges
-     * from the machine rather than from the injector.
+     * from the machine rather than from the injector. (The
+     * incremental checkpoint counts are re-split around the struck
+     * entry so that every count still reads as if the copies had
+     * been counted when taken and uncounted when dropped.)
      * @return true when a target existed and was mutated; false when
      *         the strike landed in empty state (trivially masked).
      */
@@ -347,7 +371,6 @@ class RenameUnit
         uint64_t value = 0;       ///< functional register contents
         uint64_t gen = 0;         ///< allocation generation
         int consumerRefs = 0;     ///< renamed-but-not-done consumers
-        int ckptRefs = 0;         ///< unresolved checkpoints naming this
         /** Id of the youngest checkpoint taken while this register
          *  was still the current mapping. ER may free only once
          *  every checkpoint up to this id has died (the "unmapped in
@@ -365,24 +388,55 @@ class RenameUnit
         bool everRead = false;
     };
 
+    /**
+     * One register class. Checkpoint references are split in two:
+     *  - explicit, in ckptRefs[p];
+     *  - implicit, per current map entry i: every unresolved
+     *    checkpoint created since entry i was last written still
+     *    names the entry's register, so the entry holds
+     *    (nextCkptId - refStart[i]) - (droppedCkpts_ - refDropped[i])
+     *    references. refDropped[i] starts at droppedCkpts_ and is
+     *    raised for each dropped checkpoint the entry never counted,
+     *    and lowered when a checkpoint's copy of the entry is made
+     *    explicit (Checkpoint::explicitRefs).
+     * writeMap() folds an entry's implicit references into its old
+     * register's explicit count, so a register's full count is its
+     * explicit count plus the implicit count of each current entry
+     * naming it (ckptCount()).
+     */
     struct ClassState
     {
         RamMapTable map;
         FreeList freeList;
         HotVec<PregInfo> pregs; ///< arena-backed under an ArenaScope
+        /** Explicit checkpoint references, one per register plus a
+         *  sentinel slot (index pregs.size()) that absorbs inlined
+         *  entries, so the +1/-1 updates need no imm branch. */
+        HotVec<int32_t> ckptRefs;
+        std::array<CkptId, isa::kNumLogicalRegs> refStart{};
+        std::array<uint64_t, isa::kNumLogicalRegs> refDropped{};
+        /** Latest refStart: no entry was written after a checkpoint
+         *  whose id is at least this. */
+        CkptId lastWrite = 1;
         unsigned storageUsed = 0; ///< VP: written live values
 
-        ClassState(unsigned num_phys, unsigned num_arch)
-            : freeList(num_phys, num_arch), pregs(num_phys)
-        {
-        }
+        ClassState(unsigned num_phys, unsigned num_arch);
     };
 
+    /** One slot of the checkpoint ring. */
     struct Checkpoint
     {
+        CkptId id = 0;
+        bool resolved = false;
+        /**
+         * Copy entries whose reference was made explicit while the
+         * current entry still held it implicitly (a lazy update or a
+         * fault strike rewrote the copy). Bit i is INT entry i, bit
+         * 32 + i is FP entry i.
+         */
+        uint64_t explicitRefs = 0;
         RamMapTable::Table intMap;
         RamMapTable::Table fpMap;
-        bool resolved = false;
     };
 
     ClassState &state(isa::RegClass cls);
@@ -397,10 +451,24 @@ class RenameUnit
     /** Unconditional free with lifetime accounting. */
     void doFree(isa::RegClass cls, isa::PhysRegId p, bool squashed);
 
-    /** Whether checkpoint reference counters are maintained. */
-    bool useCkptRefs() const;
+    /** Every write to a current map entry: folds the entry's
+     *  implicit checkpoint references into its old register. */
+    void writeMap(ClassState &st, unsigned i, const MapEntry &e);
 
-    void takeCkptRefs(const Checkpoint &c, int delta);
+    /** Implicit checkpoint references held by current entry @p i. */
+    int32_t implicitRefs(const ClassState &st, unsigned i) const;
+
+    /** Full checkpoint reference count of @p p (explicit plus the
+     *  implicit count of every current entry naming it). */
+    int ckptCount(isa::RegClass cls, isa::PhysRegId p) const;
+
+    /** Unresolved checkpoint @p c resolves or is discarded: drop
+     *  its references, freeing registers that become free. */
+    void dropCkptRefs(const Checkpoint &c);
+
+    /** Before rewriting entry @p i of unresolved @p c's copy: make
+     *  the copy's reference explicit if it is still implicit. */
+    void makeRefExplicit(Checkpoint &c, isa::RegClass cls, unsigned i);
 
     /** Oldest live checkpoint advanced: retry ER frees. */
     void sweepErFrees();
@@ -408,32 +476,59 @@ class RenameUnit
     /** True when every checkpoint up to @p watermark has died. */
     bool erCkptHorizonClear(uint64_t watermark) const;
 
-    /** Retire a checkpoint's map node into the recycling pool. */
-    void recycleCkptNode(std::map<CkptId, Checkpoint>::iterator it);
+    /** The k-th live checkpoint, oldest first. */
+    Checkpoint &
+    ckptAt(size_t k)
+    {
+        return ckptRing_[(ckptHead_ + k) & ckptMask_];
+    }
+    const Checkpoint &
+    ckptAt(size_t k) const
+    {
+        return ckptRing_[(ckptHead_ + k) & ckptMask_];
+    }
+
+    /** Age position of live checkpoint @p id (a probe at its offset
+     *  from the oldest, then a binary search below it), or
+     *  liveCheckpoints() when no such checkpoint is live. */
+    size_t findCkpt(CkptId id) const;
+
+    /** Remove the checkpoint at age position @p k. */
+    void eraseCkpt(size_t k);
+
+    /** Double the span of a full ring, keeping the age order. */
+    void growCkptRing();
 
     RenameConfig cfg;
     RenameStats stats;
     ClassState intState;
     ClassState fpState;
-    std::map<CkptId, Checkpoint> ckpts;
+    /** Whether checkpoint reference counts are kept (ER, and PRI's
+     *  ckptcount flavour). */
+    const bool ckptCounting_;
     /**
-     * Extracted map nodes awaiting reuse. Checkpoints churn once per
-     * branch; recycling the nodes (C++17 node handles, rekeyed on
-     * reuse) makes the steady state allocation-free while keeping
-     * std::map's ordered iteration and lookups untouched.
+     * Set once any current entry may name a register whose mappedBy
+     * does not point back at it (a fault strike, or the
+     * free-without-inline test fault). Until then a register's
+     * implicit references sit on its mappedBy entry alone; after,
+     * ckptCount() scans the current map for every entry naming it.
      */
-    std::vector<std::map<CkptId, Checkpoint>::node_type> ckptNodePool;
+    bool mapsMayAlias_;
     /**
-     * Live checkpoints in id (age) order, as stable pointers into
-     * the map's nodes. The lazy-update walk in writeback visits
-     * every live checkpoint once per narrow result, which makes
-     * tree iteration the hot loop; this flat mirror turns it into
-     * a cache-friendly array scan. Maintained by createCheckpoint
-     * and recycleCkptNode; ids are monotone, so creation appends
-     * in sorted order.
+     * Live checkpoints in id (age) order: ckptCount_ slots starting
+     * at ckptHead_ in a ring whose size is a power of two. Ids are
+     * monotone and never reused (ER's erUnmapWatermark compares
+     * against them); creation appends, commit releases pop the
+     * oldest and squash discards pop the youngest.
      */
-    std::vector<std::pair<CkptId, Checkpoint *>> ckptSeq_;
+    std::vector<Checkpoint> ckptRing_;
+    size_t ckptHead_ = 0;
+    size_t ckptCount_ = 0;
+    size_t ckptMask_ = 0;
     CkptId nextCkptId = 1;
+    /** Checkpoints that have dropped their references (resolved, or
+     *  discarded unresolved). */
+    uint64_t droppedCkpts_ = 0;
     IdealInlineHook idealHook;
     uint64_t now = 0;
 };

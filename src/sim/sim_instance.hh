@@ -82,6 +82,10 @@ class SimInstance
     /** Params this instance was built for (batch bookkeeping). */
     const RunParams &runParams() const { return params; }
 
+    /** The simulated machine, for tests that audit it between
+     *  steps. */
+    core::OutOfOrderCore &core() { return *cpu; }
+
     static constexpr uint64_t kNoLimit = ~uint64_t{0};
 
   private:

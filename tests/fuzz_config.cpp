@@ -20,8 +20,10 @@
 #include <vector>
 
 #include "common/hashing.hh"
+#include "core/core.hh"
 #include "faults/campaign.hh"
 #include "sim/runner.hh"
+#include "sim/sim_instance.hh"
 #include "sim/simulation.hh"
 
 namespace pri
@@ -118,7 +120,17 @@ TEST(ConfigFuzz, RandomConfigsStayGoldenClean)
                      std::to_string(p.narrowBitsOverride) +
                      " ports " +
                      std::to_string(p.prfReadPorts));
-        const auto r = sim::simulate(p);
+        // simulate(), stepped so the rename unit's checkpoint
+        // reference counts can be recounted from the live checkpoint
+        // copies along the way (stepping is slice-invariant).
+        sim::SimInstance inst(p);
+        while (!inst.step(1000)) {
+            ASSERT_EQ(inst.core().renameUnit().auditCkptRefs(), "")
+                << "after " << inst.core().committedInsts()
+                << " committed";
+        }
+        EXPECT_EQ(inst.core().renameUnit().auditCkptRefs(), "");
+        const auto r = inst.finish();
         EXPECT_EQ(r.goldenChecked, r.committedTotal);
         EXPECT_GE(r.goldenChecked,
                   p.warmupInsts + p.measureInsts);

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "sim/journal.hh"
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
@@ -166,7 +168,8 @@ TEST(PortIdentity, BindingBudgetIdenticalUnderBatching)
 TEST(PortIdentity, BindingBudgetSurvivesJournalRoundTrip)
 {
     const std::string path =
-        testing::TempDir() + "pri_test_port_journal";
+        testing::TempDir() + "pri_test_port_journal." +
+        std::to_string(getpid());
     std::remove(path.c_str());
     const std::vector<RunParams> batch{portedParams(2)};
 

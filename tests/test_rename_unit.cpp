@@ -438,6 +438,266 @@ TEST(RenameUnitSquash, EarlyFreedSquashedDestIsDuplicateTolerant)
     rn.checkInvariants();
 }
 
+// ---- checkpoint ring and incremental reference counts ----
+
+/** Rename @p reg to @p value, write it back and commit it. */
+RenameUnit::DestRename
+renameRetire(RenameUnit &rn, unsigned reg, uint64_t value)
+{
+    const auto d = rn.renameDest(intReg(static_cast<uint8_t>(reg)), value);
+    rn.writeback(intReg(static_cast<uint8_t>(reg)), d.preg, d.gen,
+                 value);
+    rn.commitDest(RegClass::Int, d.prev, d.prevGen);
+    return d;
+}
+
+/** INT registers the current map names (inlined entries hold none). */
+unsigned
+mappedIntRegs(const RenameUnit &rn)
+{
+    unsigned n = 0;
+    for (unsigned r = 0; r < isa::kNumLogicalRegs; ++r)
+        n += rn.mapEntry(intReg(static_cast<uint8_t>(r))).imm ? 0 : 1;
+    return n;
+}
+
+TEST(RenameUnitCkptRing, WrapsAroundReservedRing)
+{
+    Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+    auto &rn = h.rn;
+    rn.reserveCheckpointNodes(4); // smallest ring: 8 slots
+
+    // 30 branches, at most three in flight: the window wraps the
+    // ring several times while commit pops the oldest.
+    std::deque<CkptId> live;
+    CkptId last = 0;
+    for (unsigned n = 0; n < 30; ++n) {
+        renameRetire(rn, n % 5, n % 3 == 0 ? 4 : 1000 + n);
+        const CkptId ck = rn.createCheckpoint();
+        EXPECT_GT(ck, last);
+        last = ck;
+        live.push_back(ck);
+        if (live.size() == 3) {
+            rn.resolveCheckpoint(live.front());
+            rn.releaseCheckpoint(live.front());
+            live.pop_front();
+        }
+        ASSERT_EQ(rn.auditCkptRefs(), "");
+        EXPECT_EQ(rn.liveCheckpoints(), live.size());
+    }
+    for (const CkptId ck : live) {
+        rn.resolveCheckpoint(ck);
+        rn.releaseCheckpoint(ck);
+    }
+    EXPECT_EQ(rn.auditCkptRefs(), "");
+    // Every retired register is back on the free list.
+    EXPECT_EQ(rn.occupancy(RegClass::Int), mappedIntRegs(rn));
+    rn.checkInvariants();
+}
+
+TEST(RenameUnitCkptRing, UnreservedRingGrows)
+{
+    Harness h(RenameConfig::priRefcountCkptcount(128, 7));
+    auto &rn = h.rn;
+
+    // Five retired branches move the ring's head off slot 0, so the
+    // growths below must unwrap the window.
+    for (unsigned n = 0; n < 5; ++n) {
+        const CkptId ck = rn.createCheckpoint();
+        rn.resolveCheckpoint(ck);
+        rn.releaseCheckpoint(ck);
+    }
+    // 40 live checkpoints outgrow the 8-slot first span three times;
+    // each growth must keep the age order and every copy (the audit
+    // recounts the references from the copies).
+    std::vector<CkptId> ids;
+    for (unsigned n = 0; n < 40; ++n) {
+        renameRetire(rn, n % 7, 1000 + n);
+        ids.push_back(rn.createCheckpoint());
+        ASSERT_EQ(rn.auditCkptRefs(), "");
+    }
+    EXPECT_EQ(rn.liveCheckpoints(), 40u);
+    // Branches resolve out of order; they still commit in order.
+    for (size_t k = 0; k < ids.size(); k += 2)
+        rn.resolveCheckpoint(ids[k]);
+    EXPECT_EQ(rn.auditCkptRefs(), "");
+    for (size_t k = 1; k < ids.size(); k += 2)
+        rn.resolveCheckpoint(ids[k]);
+    for (const CkptId ck : ids) {
+        rn.releaseCheckpoint(ck);
+        ASSERT_EQ(rn.auditCkptRefs(), "");
+    }
+    // Every retired register is back on the free list.
+    EXPECT_EQ(rn.occupancy(RegClass::Int), mappedIntRegs(rn));
+    rn.checkInvariants();
+}
+
+TEST(RenameUnitCkptRing, YoungestFirstDiscardsAroundRestore)
+{
+    Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+    auto &rn = h.rn;
+
+    const auto d0 = rn.renameDest(intReg(1), 1000);
+    const CkptId c1 = rn.createCheckpoint();
+    const auto d1 = rn.renameDest(intReg(2), 2000);
+    const CkptId c2 = rn.createCheckpoint(); // will mispredict
+    const auto d2 = rn.renameDest(intReg(1), 3000);
+    const CkptId c3 = rn.createCheckpoint();
+    const auto d3 = rn.renameDest(intReg(3), 4000);
+    const CkptId c4 = rn.createCheckpoint();
+    const auto d4 = rn.renameDest(intReg(2), 5);
+    rn.writeback(intReg(2), d4.preg, d4.gen, 5); // inlined
+
+    // Recovery to c2, as the core does it: younger branches are
+    // discarded youngest first, then the maps are restored and the
+    // squashed destinations freed.
+    rn.discardCheckpoint(c4);
+    rn.discardCheckpoint(c3);
+    EXPECT_EQ(rn.auditCkptRefs(), "");
+    rn.restoreCheckpoint(c2);
+    rn.squashDest(RegClass::Int, d4.preg, d4.gen);
+    rn.squashDest(RegClass::Int, d3.preg, d3.gen);
+    rn.squashDest(RegClass::Int, d2.preg, d2.gen);
+    rn.resolveCheckpoint(c2);
+    EXPECT_EQ(rn.auditCkptRefs(), "");
+    EXPECT_EQ(rn.mapEntry(intReg(1)).preg, d0.preg);
+    EXPECT_EQ(rn.mapEntry(intReg(2)).preg, d1.preg);
+    EXPECT_EQ(rn.mapEntry(intReg(3)).preg, 3);
+    EXPECT_EQ(rn.liveCheckpoints(), 2u);
+
+    // The correct path runs on with fresh ids, and a second
+    // mispredict again discards from the young end.
+    const auto d5 = rn.renameDest(intReg(3), 6000);
+    const CkptId c5 = rn.createCheckpoint();
+    EXPECT_GT(c5, c4);
+    const auto d6 = rn.renameDest(intReg(5), 7000);
+    const CkptId c6 = rn.createCheckpoint();
+    rn.discardCheckpoint(c6);
+    rn.restoreCheckpoint(c5);
+    rn.squashDest(RegClass::Int, d6.preg, d6.gen);
+    rn.resolveCheckpoint(c5);
+    EXPECT_EQ(rn.auditCkptRefs(), "");
+    EXPECT_EQ(rn.mapEntry(intReg(3)).preg, d5.preg);
+    EXPECT_EQ(rn.mapEntry(intReg(5)).preg, 5);
+
+    rn.resolveCheckpoint(c1);
+    for (const CkptId ck : {c1, c2, c5})
+        rn.releaseCheckpoint(ck);
+    EXPECT_EQ(rn.liveCheckpoints(), 0u);
+    EXPECT_EQ(rn.auditCkptRefs(), "");
+    rn.checkInvariants();
+}
+
+TEST(RenameUnitCkptRing, ErWatermarkSpansDiscardedIds)
+{
+    Harness h(RenameConfig::er(kPregs, 7));
+    auto &rn = h.rn;
+
+    const auto p = rn.renameDest(intReg(11), 999);
+    rn.writeback(intReg(11), p.preg, p.gen, 999);
+    const CkptId c1 = rn.createCheckpoint(); // copy names p.preg
+    const CkptId c2 = rn.createCheckpoint();
+    rn.discardCheckpoint(c2);
+    rn.renameDest(intReg(11), 1); // unmap: watermark is c2's id
+
+    // Discarded ids are never reused, so the next checkpoint lies
+    // past the watermark and cannot hold p.preg back.
+    const CkptId c3 = rn.createCheckpoint();
+    EXPECT_GT(c3, c2);
+    EXPECT_TRUE(rn.isAllocated(RegClass::Int, p.preg));
+    rn.resolveCheckpoint(c1);
+    EXPECT_TRUE(rn.isAllocated(RegClass::Int, p.preg));
+    rn.releaseCheckpoint(c1); // c3 is now the oldest
+    EXPECT_FALSE(rn.isAllocated(RegClass::Int, p.preg));
+    rn.resolveCheckpoint(c3);
+    rn.releaseCheckpoint(c3);
+    EXPECT_EQ(rn.auditCkptRefs(), "");
+    rn.checkInvariants();
+}
+
+TEST(RenameUnitCkptRing, CkptNodeStrikeKeepsOldRefAndChargesStruckValue)
+{
+    Harness h(RenameConfig::priRefcountCkptcount(128, 7));
+    auto &rn = h.rn;
+
+    // Every INT entry names a fresh register; preg 0 (r0's first
+    // mapping) is unmapped but not yet committed away.
+    std::vector<isa::PhysRegId> cur;
+    for (unsigned r = 0; r < isa::kNumLogicalRegs; ++r)
+        cur.push_back(
+            rn.renameDest(intReg(static_cast<uint8_t>(r)), 1000 + r)
+                .preg);
+    const CkptId ck = rn.createCheckpoint();
+
+    faults::FaultSpec spec;
+    spec.site = faults::FaultSite::CkptNode;
+    spec.mutation = faults::FaultMutation::ZeroEntry;
+    ASSERT_TRUE(rn.applyFault(spec, 0)); // even draw: INT copy
+    // The strike itself moves no count.
+    for (const auto p : cur)
+        EXPECT_EQ(rn.ckptRefs(RegClass::Int, p), 1);
+    EXPECT_EQ(rn.ckptRefs(RegClass::Int, 0), 0);
+
+    // At resolve the -1 lands on the struck value (preg 0) and the
+    // struck entry's old register keeps its reference for good.
+    rn.resolveCheckpoint(ck);
+    int kept = 0;
+    for (const auto p : cur) {
+        const int c = rn.ckptRefs(RegClass::Int, p);
+        EXPECT_TRUE(c == 0 || c == 1) << "preg " << p << ": " << c;
+        kept += c;
+    }
+    EXPECT_EQ(kept, 1);
+    EXPECT_EQ(rn.ckptRefs(RegClass::Int, 0), -1);
+    EXPECT_TRUE(rn.isAllocated(RegClass::Int, 0));
+}
+
+TEST(RenameUnitCkptRing, MapTableStrikeCountsThroughStaleMappedBy)
+{
+    Harness h(RenameConfig::priRefcountCkptcount(128, 7));
+    auto &rn = h.rn;
+
+    std::vector<isa::PhysRegId> cur;
+    for (unsigned r = 0; r < isa::kNumLogicalRegs; ++r)
+        cur.push_back(
+            rn.renameDest(intReg(static_cast<uint8_t>(r)), 1000 + r)
+                .preg);
+    const CkptId c1 = rn.createCheckpoint();
+
+    faults::FaultSpec spec;
+    spec.site = faults::FaultSite::MapTable;
+    spec.mutation = faults::FaultMutation::ZeroEntry;
+    ASSERT_TRUE(rn.applyFault(spec, 0)); // even draw: INT map
+    unsigned l = isa::kNumLogicalRegs;
+    for (unsigned r = 0; r < isa::kNumLogicalRegs; ++r) {
+        if (rn.mapEntry(intReg(static_cast<uint8_t>(r))).preg !=
+            cur[r])
+            l = r;
+    }
+    ASSERT_LT(l, isa::kNumLogicalRegs);
+    ASSERT_EQ(rn.mapEntry(intReg(static_cast<uint8_t>(l))).preg, 0);
+
+    // c1's copy still names the old register; preg 0 is named by
+    // the current entry alone, its mappedBy left stale (-1).
+    EXPECT_EQ(rn.ckptRefs(RegClass::Int, cur[l]), 1);
+    EXPECT_EQ(rn.ckptRefs(RegClass::Int, 0), 0);
+    EXPECT_EQ(rn.auditCkptRefs(), "");
+
+    // A checkpoint taken now copies the struck entry: preg 0 gains a
+    // reference even though no mappedBy points at the entry.
+    const CkptId c2 = rn.createCheckpoint();
+    EXPECT_EQ(rn.ckptRefs(RegClass::Int, 0), 1);
+    EXPECT_EQ(rn.ckptRefs(RegClass::Int, cur[l]), 1);
+    EXPECT_EQ(rn.auditCkptRefs(), "");
+
+    rn.resolveCheckpoint(c1);
+    EXPECT_EQ(rn.ckptRefs(RegClass::Int, cur[l]), 0);
+    EXPECT_EQ(rn.ckptRefs(RegClass::Int, 0), 1);
+    rn.resolveCheckpoint(c2);
+    EXPECT_EQ(rn.ckptRefs(RegClass::Int, 0), 0);
+    EXPECT_EQ(rn.auditCkptRefs(), "");
+}
+
 TEST(RenameUnitGen, CommitFreeOfReallocatedRegisterIsIgnored)
 {
     Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
@@ -536,8 +796,10 @@ TEST_P(SchemeInvariantTest, RandomisedOperationSoak)
             rn.commitDest(RegClass::Int, p.d.prev, p.d.prevGen);
             rob.pop_front();
         }
-        if (cycle % 64 == 0)
+        if (cycle % 64 == 0) {
             rn.checkInvariants();
+            ASSERT_EQ(rn.auditCkptRefs(), "") << "cycle " << cycle;
+        }
     }
     // Drain.
     while (!rob.empty()) {
@@ -553,6 +815,7 @@ TEST_P(SchemeInvariantTest, RandomisedOperationSoak)
         rob.pop_front();
     }
     rn.checkInvariants();
+    EXPECT_EQ(rn.auditCkptRefs(), "");
     EXPECT_EQ(rn.liveCheckpoints(), 0u);
 }
 

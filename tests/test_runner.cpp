@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/core.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
@@ -247,7 +249,8 @@ TEST(SimulationRunner, RetriesTransientFailures)
 TEST(SimulationRunner, JournalServesCompletedPoints)
 {
     const std::string path =
-        testing::TempDir() + "pri_test_journal_roundtrip";
+        testing::TempDir() + "pri_test_journal_roundtrip." +
+        std::to_string(getpid());
     std::remove(path.c_str());
     const auto batch = smallBatch();
 
@@ -284,7 +287,8 @@ TEST(SimulationRunner, JournalServesCompletedPoints)
 TEST(SimulationRunner, JournalSkipsTornLines)
 {
     const std::string path =
-        testing::TempDir() + "pri_test_journal_torn";
+        testing::TempDir() + "pri_test_journal_torn." +
+        std::to_string(getpid());
     std::remove(path.c_str());
     const auto batch = smallBatch();
 

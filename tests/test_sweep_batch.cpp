@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/core.hh"
 #include "sim/batch/sweep_batch.hh"
 #include "sim/journal.hh"
@@ -296,7 +298,8 @@ TEST(SweepBatch, StragglerLaneMatchesSerial)
 TEST(SweepBatch, JournalHitsExcludedBeforeFormation)
 {
     const std::string path =
-        testing::TempDir() + "pri_test_journal_batch";
+        testing::TempDir() + "pri_test_journal_batch." +
+        std::to_string(getpid());
     std::remove(path.c_str());
 
     auto grid = schemeGrid();
