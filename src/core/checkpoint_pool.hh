@@ -7,11 +7,11 @@
  * this pool models that. Each fetched branch allocates one
  * pre-allocated slot and carries only an 8-byte index+generation
  * reference (CkptRef) through the fetch queue and the ROB. Slots
- * hold the walker checkpoint (with reusable, grow-once stack
- * storage), the shrunken predictor snapshot, and the speculative-
- * architectural-state journal position. Slots are released when the
- * branch resolves (either outcome) or is squashed; pool exhaustion
- * stalls fetch, as it would in hardware.
+ * hold the walker checkpoint (with call-stack storage reserved to
+ * the program's call depth), the shrunken predictor snapshot, and
+ * the speculative-architectural-state journal position. Slots are
+ * released when the branch resolves (either outcome) or is
+ * squashed; pool exhaustion stalls fetch, as it would in hardware.
  *
  * Slots are allocated in fetch order and the pool is a circular
  * window [head, tail): releases in the middle (branches resolve out
@@ -54,7 +54,7 @@ struct CheckpointSlot
     /** archSeq value of a slot whose branch has not renamed yet. */
     static constexpr uint64_t kUnrenamed = ~uint64_t{0};
 
-    workload::WalkerCkpt walker; ///< reusable stack storage
+    workload::WalkerCkpt walker; ///< stack reserved once
     branch::PredictorSnapshot bp;
     /** Speculative-arch undo-journal position, set at rename. */
     uint64_t archSeq = kUnrenamed;
@@ -75,6 +75,15 @@ class CheckpointPool
         return static_cast<unsigned>(slots.size());
     }
 
+    /** Reserve every slot's walker call stack for @p depth entries
+     *  (the program's call depth), so a checkpoint never grows it. */
+    void
+    reserveStacks(unsigned depth)
+    {
+        for (CheckpointSlot &s : slots)
+            s.walker.stack.reserve(depth);
+    }
+
     /** No slot available: fetch must stall. */
     bool full() const { return used == slots.size(); }
 
@@ -90,7 +99,7 @@ class CheckpointPool
         s.live = true;
         s.archSeq = CheckpointSlot::kUnrenamed;
         const CkptRef ref{tail, s.gen};
-        tail = (tail + 1) % capacity();
+        tail = tail + 1 == capacity() ? 0 : tail + 1;
         ++used;
         ++liveCount;
         return ref;
@@ -120,12 +129,14 @@ class CheckpointPool
         ++s.gen;
         --liveCount;
         while (used > 0 && !slots[head].live) {
-            head = (head + 1) % capacity();
+            head = head + 1 == capacity() ? 0 : head + 1;
             --used;
         }
-        while (used > 0 &&
-               !slots[(tail + capacity() - 1) % capacity()].live) {
-            tail = (tail + capacity() - 1) % capacity();
+        while (used > 0) {
+            const uint32_t last = (tail == 0 ? capacity() : tail) - 1;
+            if (slots[last].live)
+                break;
+            tail = last;
             --used;
         }
     }

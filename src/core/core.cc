@@ -12,6 +12,18 @@
 namespace pri::core
 {
 
+namespace
+{
+
+/** Next index of a ring of @p size slots, without a division. */
+inline uint32_t
+ringNext(uint32_t i, uint32_t size)
+{
+    return i + 1 == size ? 0 : i + 1;
+}
+
+} // namespace
+
 CoreStats::CoreStats(StatGroup &sg)
     : replays(sg.scalar("core.replays")),
       loadForwards(sg.scalar("core.loadForwards")),
@@ -53,9 +65,11 @@ OutOfOrderCore::OutOfOrderCore(
       rn(config.rename, stats),
       mem(config.mem),
       lsq(config.lsqSize), robHot(config.robSize),
-      robCold(config.robSize), fetchBuf(config.fetchQueueSize()),
-      ckptPool(config.ckptPoolSize()), flight(&flightRecorder()),
-      portArb_(config.prfReadPorts)
+      robCold(config.robSize), wakes_(config.robSize),
+      portArb_(config.prfReadPorts),
+      fetchBuf(config.fetchQueueSize()),
+      ckptPool(config.ckptPoolSize()), events_(config.robSize),
+      flight(&flightRecorder())
 {
     wdNextAudit = cfg.watchdogAuditWindow();
     if (cfg.faultSpec.enabled()) {
@@ -97,18 +111,9 @@ OutOfOrderCore::OutOfOrderCore(
         consHead_[cls].assign(cfg.rename.renameTagSpace(), -1);
     cons_.assign(2 * cfg.robSize, ConsLinks{});
     readyBits_.assign((cfg.robSize + 63) / 64, 0);
-    wakeBucketHead_.assign(kWheelSize, -1);
-    wake_.assign(cfg.robSize, WakeLinks{});
 
-    // Pre-size the cycle-loop buffers so the steady state never
-    // touches the heap. Each in-flight instruction has at most one
-    // outstanding wheel event, so robSize bounds per-slot demand
-    // (squash-stale entries aside, which core.scratchGrowths would
-    // expose).
-    for (auto &slot : wheel)
-        slot.reserve(cfg.robSize);
-    eventScratch.reserve(cfg.robSize);
-    eventScratch2.reserve(cfg.robSize);
+    // Pre-size the squash scratch so the steady state never touches
+    // the heap (the wheels are intrusive and need no reservation).
     freedScratch.reserve(cfg.robSize);
 
     // Rename checkpoint ring: reserve storage for the
@@ -117,6 +122,7 @@ OutOfOrderCore::OutOfOrderCore(
     // measurement) createCheckpoint still claims a slot without
     // allocating.
     rn.reserveCheckpointNodes(cfg.ckptPoolSize());
+    ckptPool.reserveStacks(prog.maxCallDepth());
 
     // One arch-undo record per in-flight dest-writer bounds the
     // journals' live spans; size for that plus the dead prefix the
@@ -187,10 +193,9 @@ OutOfOrderCore::scheduleEvent(uint64_t when, EventType type,
 {
     PRI_ASSERT(when > cycle && when - cycle < kWheelSize,
                "event beyond wheel horizon");
-    auto &slot = wheel[when % kWheelSize];
-    if (slot.size() == slot.capacity())
-        ++st.scratchGrowths;
-    slot.push_back(Event{type, idx, robHot[idx].slotGen});
+    // schedule() asserts the entry has no other pending event.
+    events_.schedule(idx, when, type == EventType::ExeStart ? 1 : 0,
+                     static_cast<uint8_t>(type));
 }
 
 // ---------------------------------------------------------------
@@ -243,8 +248,8 @@ void
 OutOfOrderCore::readyInsert(uint32_t idx)
 {
     RobHot &e = robHot[idx];
-    if (wake_[idx].at != kNever)
-        wakeUnlink(idx);
+    if (wakes_.pending(idx))
+        wakes_.cancel(idx);
     e.inReadyList = true;
     ++readyCount_;
     readyBits_[idx / 64] |= uint64_t{1} << (idx % 64);
@@ -263,53 +268,23 @@ OutOfOrderCore::scheduleWake(uint32_t idx, uint64_t when)
 {
     PRI_ASSERT(when > cycle && when - cycle < kWheelSize,
                "wakeup beyond wheel horizon");
-    if (wake_[idx].at != kNever) {
+    if (wakes_.pending(idx)) {
         // Keep the minimum: an earlier pending wakeup re-verifies
         // and reschedules if the entry is still not ready then.
-        if (wake_[idx].at <= when)
+        if (wakes_.at(idx) <= when)
             return;
-        wakeUnlink(idx);
+        wakes_.cancel(idx);
     }
-    wake_[idx].at = when;
-    const unsigned b = static_cast<unsigned>(when % kWheelSize);
-    const int32_t self = static_cast<int32_t>(idx);
-    wake_[self].prev = -1;
-    wake_[self].next = wakeBucketHead_[b];
-    if (wakeBucketHead_[b] != -1)
-        wake_[wakeBucketHead_[b]].prev = self;
-    wakeBucketHead_[b] = self;
-}
-
-void
-OutOfOrderCore::wakeUnlink(uint32_t idx)
-{
-    const int32_t self = static_cast<int32_t>(idx);
-    if (wake_[self].prev != -1)
-        wake_[wake_[self].prev].next = wake_[self].next;
-    else
-        wakeBucketHead_[wake_[idx].at % kWheelSize] =
-            wake_[self].next;
-    if (wake_[self].next != -1)
-        wake_[wake_[self].next].prev = wake_[self].prev;
-    wake_[self].next = -1;
-    wake_[self].prev = -1;
-    wake_[idx].at = kNever;
+    wakes_.schedule(idx, when, 0);
 }
 
 void
 OutOfOrderCore::drainWakeups()
 {
-    const unsigned b = static_cast<unsigned>(cycle % kWheelSize);
-    int32_t n = wakeBucketHead_[b];
-    wakeBucketHead_[b] = -1;
-    while (n != -1) {
-        const int32_t next = wake_[n].next;
-        wake_[n].next = -1;
-        wake_[n].prev = -1;
-        wake_[n].at = kNever;
+    // A verify only reschedules into a later bucket, so the drain
+    // order within this one does not matter.
+    for (int32_t n; (n = wakes_.pop(cycle, 0)) != wakes_.kNil;)
         wakeVerify(static_cast<uint32_t>(n));
-        n = next;
-    }
 }
 
 void
@@ -684,51 +659,32 @@ OutOfOrderCore::avgFpOccupancy() const
 void
 OutOfOrderCore::processEvents()
 {
-    auto &slot = wheel[cycle % kWheelSize];
-    if (slot.empty())
+    if (events_.idle(cycle))
         return;
-    // Squashes triggered inside may invalidate later events in this
-    // slot; the slotGen check filters them. Draining by copy + clear
-    // (rather than a capacity-stealing swap) lets every wheel slot
-    // keep the capacity it has grown, so once warmed up neither the
-    // slots nor the scratch buffers ever reallocate.
-    //
     // Completions must be visible before same-cycle execution
     // starts: a dependent beginning execution this cycle picks its
     // operand off the bypass network from a producer completing this
     // cycle. Processing ExeStart first would mis-detect a latency
     // misprediction and replay every back-to-back dependent pair.
-    // The drain partitions events by pass so each runs as one tight
-    // loop.
-    HotVec<Event> &first = eventScratch;
-    HotVec<Event> &second = eventScratch2;
-    first.clear();
-    second.clear();
-    const size_t cap1 = first.capacity();
-    const size_t cap2 = second.capacity();
-    for (const Event &ev : slot) {
-        const bool first_pass =
-            ev.type == EventType::ExeComplete ||
-            ev.type == EventType::Retire;
-        (first_pass ? first : second).push_back(ev);
-    }
-    slot.clear();
-    if (first.capacity() != cap1 || second.capacity() != cap2)
-        ++st.scratchGrowths;
-    for (const HotVec<Event> *events : {&first, &second}) {
-        for (const Event &ev : *events) {
-            const RobHot &e = robHot[ev.robIdx];
-            if (!e.valid || e.slotGen != ev.slotGen)
-                continue; // squashed
-            switch (ev.type) {
+    // So lane 0 (completions, retires) drains before lane 1
+    // (execution starts), each in scheduling order. Handlers only
+    // schedule into later cycles; a squash raised by one cancels the
+    // squashed entries' events, including those queued behind it
+    // here.
+    for (unsigned lane = 0; lane < 2; ++lane) {
+        int32_t n;
+        while ((n = events_.pop(cycle, lane)) != events_.kNil) {
+            const auto idx = static_cast<uint32_t>(n);
+            PRI_ASSERT(robHot[idx].valid, "event for a dead entry");
+            switch (static_cast<EventType>(events_.tag(idx))) {
               case EventType::ExeStart:
-                onExeStart(ev.robIdx);
+                onExeStart(idx);
                 break;
               case EventType::ExeComplete:
-                onExeComplete(ev.robIdx);
+                onExeComplete(idx);
                 break;
               case EventType::Retire:
-                onRetire(ev.robIdx);
+                onRetire(idx);
                 break;
             }
         }
@@ -1045,14 +1001,13 @@ OutOfOrderCore::squashAfter(uint32_t branch_idx)
 
     const uint32_t count_before = robCount;
     while (robTail != stop) {
-        const uint32_t last =
-            (robTail + cfg.robSize - 1) % cfg.robSize;
+        const uint32_t last = (robTail == 0 ? cfg.robSize : robTail) - 1;
         RobHot &y = robHot[last];
         RobCold &yc = robCold[last];
         PRI_ASSERT(y.valid);
         // Eager unwind of the wakeup index (no journal): drop
-        // consumer-list links, the ready-list node, and any pending
-        // timed wakeup before the entry dies.
+        // consumer-list links, the ready-list node, any pending
+        // timed wakeup and any pending event before the entry dies.
         for (unsigned i = 0; i < 2; ++i) {
             const auto &s = y.src[i];
             if (s.valid && !s.imm && s.refHeld)
@@ -1060,8 +1015,10 @@ OutOfOrderCore::squashAfter(uint32_t branch_idx)
         }
         if (y.inReadyList)
             readyRemove(last);
-        if (wake_[last].at != kNever)
-            wakeUnlink(last);
+        if (wakes_.pending(last))
+            wakes_.cancel(last);
+        if (events_.pending(last))
+            events_.cancel(last);
         if (y.inScheduler) {
             y.inScheduler = false;
             --schedCount_;
@@ -1086,7 +1043,6 @@ OutOfOrderCore::squashAfter(uint32_t branch_idx)
             --schedHeld;
         }
         y.valid = false;
-        y.slotGen += 1;
         unretiredBits[last / 64] &= ~(uint64_t{1} << (last % 64));
         robTail = last;
         --robCount;
@@ -1169,8 +1125,7 @@ OutOfOrderCore::commitStage()
         flight->record(FlightEvent::Commit, cycle, c.wi.pc,
                        c.wi.seq, e.hasDst ? e.dstPreg : ~0u);
         e.valid = false;
-        e.slotGen += 1;
-        robHead = (robHead + 1) % cfg.robSize;
+        robHead = ringNext(robHead, cfg.robSize);
         --robCount;
         ++nCommitted;
         lastCommitCycle = cycle;
@@ -1262,7 +1217,7 @@ OutOfOrderCore::selectStage()
     const size_t hw = robHead / 64;
     const unsigned hb = robHead % 64;
     for (size_t wi = 0; wi <= words && issued < cfg.width; ++wi) {
-        const size_t w = (hw + wi) % words;
+        const size_t w = hw + wi < words ? hw + wi : hw + wi - words;
         uint64_t bits = readyBits_[w];
         if (wi == 0)
             bits &= ~uint64_t{0} << hb;
@@ -1358,10 +1313,8 @@ OutOfOrderCore::renameStage()
         RobHot &e = robHot[idx];
         RobCold &c = robCold[idx];
         PRI_ASSERT(!e.valid, "renaming into a live ROB slot");
-        const uint64_t gen = e.slotGen;
         e = RobHot{};
         e.valid = true;
-        e.slotGen = gen + 1;
         e.seq = wi.seq;
         e.cls = wi.cls;
         e.readyForSelect = cycle + cfg.renameToSelect;
@@ -1442,9 +1395,9 @@ OutOfOrderCore::renameStage()
         }
         wakeVerify(idx);
         unretiredBits[idx / 64] |= uint64_t{1} << (idx % 64);
-        robTail = (robTail + 1) % cfg.robSize;
+        robTail = ringNext(robTail, cfg.robSize);
         ++robCount;
-        fetchHead = (fetchHead + 1) % fq_cap;
+        fetchHead = ringNext(fetchHead, fq_cap);
         --fetchCount;
         ++st.renamedInsts;
         flight->record(FlightEvent::Rename, cycle, wi.pc, wi.seq,
@@ -1490,8 +1443,9 @@ OutOfOrderCore::fetchStage()
         }
 
         workload::WInst wi = walker.next();
+        const uint32_t slot = fetchHead + fetchCount;
         FetchedInst &f =
-            fetchBuf[(fetchHead + fetchCount) % fq_cap];
+            fetchBuf[slot < fq_cap ? slot : slot - fq_cap];
         f.fetchCycle = cycle;
         f.readyAt = cycle + cfg.fetchToRename;
         f.isBranch = false;
@@ -1626,25 +1580,20 @@ OutOfOrderCore::checkInvariants() const
             held += (s.valid && !s.imm && s.refHeld) ? 1 : 0;
     }
     PRI_ASSERT(linked == held, "consumer membership leak");
-    // Wake buckets: each pending wakeup bucketed exactly once,
-    // only for waiting, not-yet-ready entries.
-    unsigned bucketed = 0;
-    for (unsigned b = 0; b < kWheelSize; ++b) {
-        for (int32_t n = wakeBucketHead_[b]; n != -1;
-             n = wake_[n].next) {
-            PRI_ASSERT(wake_[n].at != kNever &&
-                           wake_[n].at % kWheelSize == b,
-                       "wakeup in the wrong bucket");
-            PRI_ASSERT(robHot[n].inScheduler &&
-                           !robHot[n].inReadyList,
-                       "wakeup for a non-waiting entry");
-            ++bucketed;
-        }
+    // Wheels: each pending node bucketed exactly once; wakeups only
+    // for waiting, not-yet-ready entries, events only for live
+    // entries that have left the scheduler.
+    wakes_.checkInvariants();
+    events_.checkInvariants();
+    for (uint32_t i = 0; i < cfg.robSize; ++i) {
+        const RobHot &e = robHot[i];
+        PRI_ASSERT(!wakes_.pending(i) ||
+                       (e.inScheduler && !e.inReadyList),
+                   "wakeup for a non-waiting entry");
+        PRI_ASSERT(!events_.pending(i) ||
+                       (e.valid && !e.inScheduler),
+                   "event for a dead or waiting entry");
     }
-    unsigned pending = 0;
-    for (uint32_t i = 0; i < cfg.robSize; ++i)
-        pending += wake_[i].at != kNever ? 1 : 0;
-    PRI_ASSERT(bucketed == pending, "wake bucket leak");
     // Every live pool slot is owned by exactly one in-flight
     // reference (fetch ring or ROB).
     unsigned refs = 0;

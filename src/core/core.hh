@@ -33,6 +33,7 @@
 #include "core/config.hh"
 #include "core/lsq.hh"
 #include "core/port_arbiter.hh"
+#include "core/timer_wheel.hh"
 #include "memory/cache.hh"
 #include "rename/rename_unit.hh"
 #include "workload/walker.hh"
@@ -45,9 +46,6 @@ class ReplayTape;
 namespace pri::core
 {
 
-/** Sentinel "never" cycle. */
-constexpr uint64_t kNever = ~uint64_t{0};
-
 /**
  * Hot half of a reorder-buffer entry: exactly the state the
  * per-cycle wakeup/select loops read (payload RAM, readiness,
@@ -58,7 +56,6 @@ constexpr uint64_t kNever = ~uint64_t{0};
 struct RobHot
 {
     uint64_t seq = 0;      ///< selection age (== wi.seq)
-    uint64_t slotGen = 0;  ///< bumped on reuse; filters stale events
     uint64_t readyForSelect = 0;
 
     // Payload RAM: source operands as renamed.
@@ -146,8 +143,8 @@ struct CoreStats
     StatScalar &icacheMissStalls;
     StatScalar &btbMisses;
     StatScalar &fetchedInsts;
-    /** Reallocations of cycle-loop scratch/wheel buffers. Zero in
-     *  steady state once the buffers are hoisted and warmed up. */
+    /** Reallocations of cycle-loop scratch buffers. Zero in steady
+     *  state once the buffers are hoisted and warmed up. */
     StatScalar &scratchGrowths;
     /** Branch checkpoints taken at fetch. */
     StatScalar &ckptsTaken;
@@ -319,12 +316,8 @@ class OutOfOrderCore
         Retire,
     };
 
-    struct Event
-    {
-        EventType type;
-        uint32_t robIdx;
-        uint64_t slotGen;
-    };
+    /** Event and wake wheel horizon, in cycles. */
+    static constexpr unsigned kWheelSize = 1024;
 
     /** A squashed destination awaiting its free-list return. */
     struct Freed
@@ -374,8 +367,6 @@ class OutOfOrderCore
     void scanDefer(uint32_t idx);
     /** Schedule (or pull earlier) a timed wakeup for @p idx. */
     void scheduleWake(uint32_t idx, uint64_t when);
-    /** Unlink a pending timed wakeup without verifying it. */
-    void wakeUnlink(uint32_t idx);
     /** Drain this cycle's wake bucket, verifying each entry. */
     void drainWakeups();
     /**
@@ -520,18 +511,9 @@ class OutOfOrderCore
     HotVec<uint64_t> readyBits_;
     unsigned readyCount_ = 0;
 
-    // Timed wakeups: a bucket ring keyed by cycle (same horizon as
-    // the event wheel), intrusively linked so each entry has at most
-    // one pending wakeup. Deliberately separate from the event wheel
-    // so wake traffic cannot perturb core.scratchGrowths.
-    HotVec<int32_t> wakeBucketHead_;
-    struct WakeLinks
-    {
-        int32_t next = -1;
-        int32_t prev = -1;
-        uint64_t at = kNever; ///< kNever = no pending wakeup
-    };
-    HotVec<WakeLinks> wake_; ///< one record per ROB slot
+    // Timed wakeups: one node per ROB slot, so each entry has at
+    // most one pending wakeup (TimerWheel::at is its cycle).
+    TimerWheel<kWheelSize, 1> wakes_;
 
     // PRF read-port arbitration (cfg.prfReadPorts != 0; inert and
     // cost-free when unlimited). The stat pointers are registered
@@ -584,9 +566,11 @@ class OutOfOrderCore
     // Speculative architectural values, for dataflow checking.
     std::array<uint64_t, 2 * isa::kNumLogicalRegs> specArch{};
 
-    // Event wheel.
-    static constexpr unsigned kWheelSize = 1024;
-    std::array<HotVec<Event>, kWheelSize> wheel;
+    // Event wheel: one node per ROB slot (each in-flight entry has
+    // at most one pending event, tagged with its EventType). Lane 0
+    // holds completions and retires, lane 1 execution starts, so
+    // processEvents drains them in that order with no partition.
+    TimerWheel<kWheelSize, 2> events_;
 
     /**
      * Wakeups predicted at most this many cycles out skip the wake
@@ -598,10 +582,8 @@ class OutOfOrderCore
     static constexpr uint64_t kNearWake = 8;
 
     // Per-cycle scratch, hoisted out of the cycle loop so steady
-    // state allocates nothing: the buffers are cleared, never freed,
-    // so their capacity is retained across cycles.
-    HotVec<Event> eventScratch;   ///< completions/retires
-    HotVec<Event> eventScratch2;  ///< execution starts
+    // state allocates nothing: the buffer is cleared, never freed,
+    // so its capacity is retained across cycles.
     HotVec<Freed> freedScratch;
 
     CommitObserver *observer = nullptr;

@@ -59,7 +59,7 @@ class Lsq
                               kNil, is_store, true};
         if (is_store)
             attachStore(slot);
-        tail = (tail + 1) % entries.size();
+        tail = tail + 1 == entries.size() ? 0 : tail + 1;
         ++count;
         return slot;
     }
@@ -104,7 +104,7 @@ class Lsq
         if (entries[head].isStore)
             detachStore(head);
         entries[head].valid = false;
-        head = (head + 1) % entries.size();
+        head = head + 1 == entries.size() ? 0 : head + 1;
         --count;
     }
 
@@ -113,8 +113,7 @@ class Lsq
     squashYounger(uint64_t branch_seq)
     {
         while (count > 0) {
-            const unsigned last =
-                (tail + entries.size() - 1) % entries.size();
+            const unsigned last = (tail == 0 ? entries.size() : tail) - 1;
             if (!entries[last].valid ||
                 entries[last].seq <= branch_seq) {
                 break;

@@ -168,7 +168,7 @@ constexpr size_t kMinRing = 8;
 RenameUnit::ClassState::ClassState(unsigned num_phys,
                                    unsigned num_arch)
     : freeList(num_phys, num_arch), pregs(num_phys),
-      ckptRefs(num_phys + 1, 0)
+      ckptRefs(num_phys + 1, 0), erCand((num_phys + 63) / 64, 0)
 {
     ckptRefs[num_phys] = kSentinelBias;
     refStart.fill(lastWrite);
@@ -290,7 +290,7 @@ RenameUnit::renameDest(isa::RegId dst, uint64_t future_value)
         // The ER "unmap" event: the old register is no longer the
         // current mapping. Record the checkpoint horizon it must
         // outlive before ER may free it.
-        prev_info.mappedBy = -1;
+        setMappedBy(st, out.prev.preg, -1);
         prev_info.erUnmapWatermark = nextCkptId - 1;
     }
 
@@ -309,7 +309,7 @@ RenameUnit::renameDest(isa::RegId dst, uint64_t future_value)
     info.complete = false;
     info.pendingNarrowFree = false;
     info.pendingCommitFree = false;
-    info.mappedBy = static_cast<int16_t>(dst.idx);
+    setMappedBy(st, p, static_cast<int16_t>(dst.idx));
     info.allocCycle = now;
     info.writeCycle = 0;
     info.lastReadCycle = 0;
@@ -535,12 +535,42 @@ RenameUnit::erCkptHorizonClear(uint64_t watermark) const
 }
 
 void
+RenameUnit::setMappedBy(ClassState &st, isa::PhysRegId p,
+                        int16_t logical)
+{
+    st.pregs[p].mappedBy = logical;
+    if (!cfg.earlyRelease)
+        return;
+    const uint64_t bit = uint64_t{1} << (p % 64);
+    if (logical < 0)
+        st.erCand[p / 64] |= bit;
+    else
+        st.erCand[p / 64] &= ~bit;
+}
+
+void
 RenameUnit::sweepErFrees()
 {
+    // Only the horizon moved, so only a register freeable by the ER
+    // rule alone can become free here, and such a register is
+    // allocated and unmapped: a candidate. Every other free
+    // condition calls tryFree when it clears (DESIGN.md §7). With
+    // aliased maps mappedBy can be stale, so scan every register.
     for (auto cls : {isa::RegClass::Int, isa::RegClass::Fp}) {
-        const auto n = state(cls).pregs.size();
-        for (unsigned p = 0; p < n; ++p)
-            tryFree(cls, static_cast<isa::PhysRegId>(p));
+        auto &st = state(cls);
+        if (mapsMayAlias_) {
+            for (unsigned p = 0; p < st.pregs.size(); ++p)
+                tryFree(cls, static_cast<isa::PhysRegId>(p));
+            continue;
+        }
+        for (size_t w = 0; w < st.erCand.size(); ++w) {
+            for (uint64_t m = st.erCand[w]; m != 0; m &= m - 1) {
+                const auto p = static_cast<isa::PhysRegId>(
+                    w * 64 + static_cast<unsigned>(std::countr_zero(m)));
+                if (erCkptHorizonClear(st.pregs[p].erUnmapWatermark))
+                    tryFree(cls, p);
+            }
+        }
     }
 }
 
@@ -599,7 +629,7 @@ RenameUnit::restoreCheckpoint(CkptId id)
         for (unsigned i = 0; i < isa::kNumLogicalRegs; ++i) {
             const MapEntry &cur = st.map.read(i);
             if (!cur.imm)
-                st.pregs[cur.preg].mappedBy = -1;
+                setMappedBy(st, cur.preg, -1);
         }
         // Install the checkpointed mappings. A register that was
         // already inlined-and-armed for freeing is restored in
@@ -615,7 +645,7 @@ RenameUnit::restoreCheckpoint(CkptId id)
                     PRI_ASSERT(info.complete);
                     e = MapEntry::makeImm(info.value);
                 } else {
-                    info.mappedBy = static_cast<int16_t>(i);
+                    setMappedBy(st, e.preg, static_cast<int16_t>(i));
                 }
             }
             // An entry the wrong path left untouched keeps its
@@ -696,7 +726,7 @@ RenameUnit::writeback(isa::RegId dst, isa::PhysRegId preg,
         if (!cur.imm && cur.preg == preg) {
             if (!cfg.injectFreeWithoutInline)
                 writeMap(st, dst.idx, MapEntry::makeImm(value));
-            info.mappedBy = -1;
+            setMappedBy(st, preg, -1);
             info.erUnmapWatermark = nextCkptId - 1;
             ++stats.inlinedCurrentMap;
         } else {
@@ -818,29 +848,37 @@ RenameUnit::squashDest(isa::RegClass cls, isa::PhysRegId preg,
     doFree(cls, preg, /*squashed=*/true);
 }
 
-void
-RenameUnit::tryFree(isa::RegClass cls, isa::PhysRegId p)
+inline bool
+RenameUnit::freeable(isa::RegClass cls, isa::PhysRegId p,
+                     bool &er_eligible) const
 {
-    auto &st = state(cls);
-    auto &info = st.pregs[p];
+    const auto &st = state(cls);
+    const auto &info = st.pregs[p];
     // Implicit checkpoint references are never negative, so a
     // positive explicit count settles the checkpoint test; only
     // aliased maps need the full count.
     if (info.mappedBy >= 0 || st.ckptRefs[p] > 0 ||
         info.consumerRefs > 0 || !st.freeList.isAllocated(p))
-        return;
+        return false;
     if (mapsMayAlias_ && ckptCount(cls, p) > 0)
-        return;
+        return false;
 
     // The published ER scheme needs the unmap flag true in every
     // checkpointed copy; copies live to the commit horizon.
-    const bool er_eligible = cfg.earlyRelease && info.complete &&
+    er_eligible = cfg.earlyRelease && info.complete &&
         erCkptHorizonClear(info.erUnmapWatermark);
-    if (!info.pendingNarrowFree && !info.pendingCommitFree &&
-        !er_eligible) {
-        return;
-    }
+    return info.pendingNarrowFree || info.pendingCommitFree ||
+        er_eligible;
+}
 
+void
+RenameUnit::tryFree(isa::RegClass cls, isa::PhysRegId p)
+{
+    bool er_eligible = false;
+    if (!freeable(cls, p, er_eligible))
+        return;
+
+    const auto &info = state(cls).pregs[p];
     if (info.pendingNarrowFree && !info.pendingCommitFree)
         ++stats.priEarlyFrees;
     else if (er_eligible && !info.pendingCommitFree &&
@@ -883,6 +921,8 @@ RenameUnit::doFree(isa::RegClass cls, isa::PhysRegId p,
     info.pendingNarrowFree = false;
     info.pendingCommitFree = false;
     info.everRead = false;
+    if (cfg.earlyRelease)
+        st.erCand[p / 64] &= ~(uint64_t{1} << (p % 64));
     if (info.holdsStorage) {
         PRI_ASSERT(st.storageUsed > 0);
         st.storageUsed -= 1;
@@ -967,6 +1007,34 @@ RenameUnit::auditCkptRefs() const
                               "copies name it {} times",
                               cls == isa::RegClass::Int ? "int" : "fp",
                               p, got, expect[p]);
+            }
+        }
+    }
+    return {};
+}
+
+std::string
+RenameUnit::auditErCandidates() const
+{
+    if (mapsMayAlias_)
+        return {};
+    for (auto cls : {isa::RegClass::Int, isa::RegClass::Fp}) {
+        const auto &st = state(cls);
+        const char *name = cls == isa::RegClass::Int ? "int" : "fp";
+        for (size_t p = 0; p < st.pregs.size(); ++p) {
+            const auto r = static_cast<isa::PhysRegId>(p);
+            const bool expect = st.freeList.isAllocated(r) &&
+                st.pregs[p].mappedBy < 0;
+            const bool got = (st.erCand[p / 64] >> (p % 64)) & 1;
+            if (cfg.earlyRelease && got != expect) {
+                return fmtStr("{} preg {}: ER candidate bit {}, "
+                              "allocated and unmapped {}",
+                              name, p, got, expect);
+            }
+            bool er_eligible = false;
+            if (freeable(cls, r, er_eligible)) {
+                return fmtStr("{} preg {}: left allocated although "
+                              "freeable", name, p);
             }
         }
     }

@@ -346,6 +346,17 @@ class RenameUnit
      */
     std::string auditCkptRefs() const;
 
+    /**
+     * Test oracle for the ER sweep's candidate set: under ER it must
+     * hold exactly the allocated, unmapped registers, and under any
+     * scheme no register may be left allocated while every free
+     * condition holds (the sweep visits candidates only, so a missed
+     * tryFree elsewhere would strand such a register). Returns an
+     * empty string when both hold. Skipped (empty) once
+     * mapsMayAlias_ is set, when the sweep scans every register.
+     */
+    std::string auditErCandidates() const;
+
     // ---- transient-fault hook (src/faults) ----
 
     /**
@@ -415,6 +426,10 @@ class RenameUnit
         HotVec<int32_t> ckptRefs;
         std::array<CkptId, isa::kNumLogicalRegs> refStart{};
         std::array<uint64_t, isa::kNumLogicalRegs> refDropped{};
+        /** ER sweep candidates: one bit per register, set exactly
+         *  while it is allocated and unmapped (mappedBy < 0). Kept
+         *  only under ER, the one scheme that sweeps. */
+        HotVec<uint64_t> erCand;
         /** Latest refStart: no entry was written after a checkpoint
          *  whose id is at least this. */
         CkptId lastWrite = 1;
@@ -448,6 +463,15 @@ class RenameUnit
     /** Attempt to free; respects mapping/refs/eligibility rules. */
     void tryFree(isa::RegClass cls, isa::PhysRegId p);
 
+    /** tryFree's predicate: may @p p be freed now? @p er_eligible
+     *  reports whether the ER rule alone would allow it. */
+    bool freeable(isa::RegClass cls, isa::PhysRegId p,
+                  bool &er_eligible) const;
+
+    /** Set @p p's mapping (a logical index, or -1 for unmapped),
+     *  keeping the ER candidate set in step. */
+    void setMappedBy(ClassState &st, isa::PhysRegId p, int16_t logical);
+
     /** Unconditional free with lifetime accounting. */
     void doFree(isa::RegClass cls, isa::PhysRegId p, bool squashed);
 
@@ -470,7 +494,8 @@ class RenameUnit
      *  the copy's reference explicit if it is still implicit. */
     void makeRefExplicit(Checkpoint &c, isa::RegClass cls, unsigned i);
 
-    /** Oldest live checkpoint advanced: retry ER frees. */
+    /** Oldest live checkpoint advanced: retry ER frees of the
+     *  candidates whose checkpoint horizon has cleared. */
     void sweepErFrees();
 
     /** True when every checkpoint up to @p watermark has died. */

@@ -138,6 +138,17 @@ class SyntheticProgram
     /** The dense width CDF for integer value generation. */
     const WidthCdf &widthCdf() const { return cdf; }
 
+    /**
+     * Deepest call stack a walk can build: calls go only to
+     * higher-numbered functions (the call graph is acyclic), so a
+     * chain of live calls holds each function at most once.
+     */
+    unsigned
+    maxCallDepth() const
+    {
+        return static_cast<unsigned>(funcEntry.size());
+    }
+
     /** Entry block id of each function (for tests/examples). */
     const std::vector<uint32_t> &
     functionEntries() const

@@ -29,6 +29,9 @@ Walker::Walker(const SyntheticProgram &program,
                "walker given traces compiled from another program");
     PRI_ASSERT(tape == nullptr || traces != nullptr,
                "tape replay requires the traced walker");
+    // Calls never outgrow the call graph's depth, so the stack is
+    // reserved once and never reallocates.
+    stack.reserve(prog.maxCallDepth());
 }
 
 Walker::~Walker()
@@ -398,6 +401,8 @@ Walker::steer(const WInst &branch, bool taken, uint64_t target_pc)
         // path below.
         const trace::MicroOp &op = *cur;
         if (branch.isCall) {
+            PRI_ASSERT(stack.size() < prog.maxCallDepth(),
+                       "call stack deeper than the call graph");
             stack.push_back(ProgLoc{op.fallthroughBlock, 0});
         } else if (branch.isReturn && !stack.empty()) {
             const ProgLoc ret = stack.back();
@@ -422,6 +427,8 @@ Walker::steer(const WInst &branch, bool taken, uint64_t target_pc)
     const BasicBlock &blk = prog.block(loc.block);
     if (branch.isCall) {
         // Return address: the fall-through block.
+        PRI_ASSERT(stack.size() < prog.maxCallDepth(),
+                   "call stack deeper than the call graph");
         stack.push_back(ProgLoc{blk.fallthrough, 0});
     } else if (branch.isReturn) {
         if (!stack.empty())

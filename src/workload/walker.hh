@@ -112,8 +112,8 @@ class Walker
     /**
      * Capture restorable state into caller-owned storage. @p out's
      * stack vector is reused (assign, not reallocate), so a pooled
-     * checkpoint slot grows once to the deepest call stack seen and
-     * never allocates again.
+     * checkpoint slot reserved to SyntheticProgram::maxCallDepth()
+     * never allocates.
      */
     void checkpointInto(WalkerCkpt &out) const;
 

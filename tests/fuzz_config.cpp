@@ -122,14 +122,20 @@ TEST(ConfigFuzz, RandomConfigsStayGoldenClean)
                      std::to_string(p.prfReadPorts));
         // simulate(), stepped so the rename unit's checkpoint
         // reference counts can be recounted from the live checkpoint
-        // copies along the way (stepping is slice-invariant).
+        // copies, and its ER candidate set checked, along the way
+        // (stepping is slice-invariant).
         sim::SimInstance inst(p);
         while (!inst.step(1000)) {
-            ASSERT_EQ(inst.core().renameUnit().auditCkptRefs(), "")
+            const auto &rn = inst.core().renameUnit();
+            ASSERT_EQ(rn.auditCkptRefs(), "")
+                << "after " << inst.core().committedInsts()
+                << " committed";
+            ASSERT_EQ(rn.auditErCandidates(), "")
                 << "after " << inst.core().committedInsts()
                 << " committed";
         }
         EXPECT_EQ(inst.core().renameUnit().auditCkptRefs(), "");
+        EXPECT_EQ(inst.core().renameUnit().auditErCandidates(), "");
         const auto r = inst.finish();
         EXPECT_EQ(r.goldenChecked, r.committedTotal);
         EXPECT_GE(r.goldenChecked,

@@ -799,6 +799,7 @@ TEST_P(SchemeInvariantTest, RandomisedOperationSoak)
         if (cycle % 64 == 0) {
             rn.checkInvariants();
             ASSERT_EQ(rn.auditCkptRefs(), "") << "cycle " << cycle;
+            ASSERT_EQ(rn.auditErCandidates(), "") << "cycle " << cycle;
         }
     }
     // Drain.
@@ -816,6 +817,7 @@ TEST_P(SchemeInvariantTest, RandomisedOperationSoak)
     }
     rn.checkInvariants();
     EXPECT_EQ(rn.auditCkptRefs(), "");
+    EXPECT_EQ(rn.auditErCandidates(), "");
     EXPECT_EQ(rn.liveCheckpoints(), 0u);
 }
 
