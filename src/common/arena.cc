@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
-
 #include "common/logging.hh"
 
 namespace pri
@@ -15,7 +11,9 @@ namespace pri
 namespace
 {
 
-constexpr size_t kHugePage = 2u << 20;
+/** Slab alignment and size granularity: a page covers every
+ *  alignment a simulator type asks for. */
+constexpr size_t kSlabAlign = 4096;
 
 thread_local LaneArena *tlsArena = nullptr;
 
@@ -29,17 +27,8 @@ std::byte *
 allocSlab(size_t bytes)
 {
     void *mem = nullptr;
-    if (posix_memalign(&mem, kHugePage, bytes) != 0)
+    if (posix_memalign(&mem, kSlabAlign, bytes) != 0)
         throw std::bad_alloc();
-#if defined(__linux__)
-    // Advisory only: with THP in madvise mode this backs the slab
-    // with huge pages; elsewhere it is a no-op. PRI_ARENA_NOHUGE
-    // opts out (e.g. for memory-constrained CI runners).
-    static const bool no_huge =
-        std::getenv("PRI_ARENA_NOHUGE") != nullptr;
-    if (!no_huge)
-        madvise(mem, bytes, MADV_HUGEPAGE);
-#endif
     return static_cast<std::byte *>(mem);
 }
 
@@ -61,11 +50,6 @@ ArenaScope::~ArenaScope()
     tlsArena = prev;
 }
 
-LaneArena::LaneArena(size_t slab_bytes)
-    : slabBytes(roundUp(slab_bytes, kHugePage))
-{
-}
-
 LaneArena::~LaneArena()
 {
     for (auto &s : slabs)
@@ -83,10 +67,9 @@ LaneArena::grow(size_t min_bytes)
         if (slabs[curSlab].cap >= min_bytes)
             return;
     }
-    const size_t cap = roundUp(std::max(min_bytes, slabBytes),
-                               kHugePage);
+    const size_t cap = roundUp(std::max(min_bytes, kSlabBytes),
+                               kSlabAlign);
     slabs.push_back(Slab{allocSlab(cap), cap});
-    reserved += cap;
     curSlab = slabs.size() - 1;
     offset = 0;
 }
@@ -105,7 +88,6 @@ LaneArena::allocate(size_t bytes, size_t align)
     }
     std::byte *p = slabs[curSlab].mem + at;
     offset = at + bytes;
-    used += bytes;
     return p;
 }
 
@@ -114,7 +96,6 @@ LaneArena::reset()
 {
     curSlab = 0;
     offset = 0;
-    used = 0;
 }
 
 } // namespace pri

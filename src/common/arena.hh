@@ -1,28 +1,24 @@
 /**
  * @file
- * LaneArena: a slab bump allocator backing the per-lane simulator
- * state of one SweepBatch (DESIGN.md §14).
+ * LaneArena: a slab bump allocator backing the simulator state of
+ * one SweepBatch lane (DESIGN.md §14).
  *
- * A batch constructs its K lanes back to back inside one ArenaScope,
- * so every fixed-size container a lane allocates at construction —
- * ROB hot/cold arrays, scheduler bitmaps, event wheel slots, rename
- * free lists, cache tag arrays, predictor tables — lands contiguous
- * and lane-major in the arena instead of scattered across the heap.
- * Between batches the arena is reset (slabs retained, bump pointers
- * rewound), so the second and later batches on a worker thread reuse
- * already-faulted, already-hot pages: per-point construction cost
- * drops from "malloc + page fault + zero" to "zero".
+ * A lane's machine is constructed inside one ArenaScope, so every
+ * fixed-size container it allocates at construction — ROB hot/cold
+ * arrays, scheduler bitmaps, event wheel slots, rename free lists,
+ * cache tag arrays, predictor tables — lands contiguous in the arena
+ * instead of scattered across the heap. Each worker thread owns one
+ * arena and rewinds it (slabs retained, bump pointer reset) before
+ * every lane, so every lane after the first reuses already-faulted,
+ * already-hot pages: per-point construction cost drops from
+ * "malloc + page fault + zero" to "zero".
  *
  * Deallocation is a no-op; memory is reclaimed only by reset(). That
- * is safe exactly because every lane object is destroyed before its
- * batch finishes and the next batch (the only caller of reset())
- * starts. Containers that grow mid-run leak their old block into the
- * slab — bounded, because steady-state simulation does not grow
- * (core.scratchGrowths gates that invariant).
- *
- * Slabs are 2 MiB-aligned and advised MADV_HUGEPAGE on Linux: the
- * simulator's per-lane working set is pointer-dense, so backing it
- * with huge pages measurably cuts dTLB pressure in batched replay.
+ * is safe exactly because a lane is destroyed before the next one is
+ * built (the only caller of reset()). Containers that grow mid-run
+ * leak their old block into the slab — bounded, because steady-state
+ * simulation does not grow (core.scratchGrowths gates that
+ * invariant).
  *
  * ArenaAlloc<T> is a minimal allocator over the *ambient* arena: the
  * thread-local currentArena() set by ArenaScope. A container
@@ -49,9 +45,7 @@ namespace pri
 class LaneArena
 {
   public:
-    /** @param slab_bytes granularity of slab growth (rounded up to
-     *  2 MiB multiples so huge-page backing lines up). */
-    explicit LaneArena(size_t slab_bytes = kDefaultSlabBytes);
+    LaneArena() = default;
     ~LaneArena();
 
     LaneArena(const LaneArena &) = delete;
@@ -65,12 +59,8 @@ class LaneArena
      *  Slab storage is retained for reuse. */
     void reset();
 
-    /** Total bytes of slab storage owned (diagnostics). */
-    size_t reservedBytes() const { return reserved; }
-    /** Bytes handed out since the last reset() (diagnostics). */
-    size_t usedBytes() const { return used; }
-
-    static constexpr size_t kDefaultSlabBytes = 8u << 20;
+    /** Granularity of slab growth. */
+    static constexpr size_t kSlabBytes = 8u << 20;
 
   private:
     struct Slab
@@ -84,9 +74,6 @@ class LaneArena
     std::vector<Slab> slabs;
     size_t curSlab = 0; ///< slab currently bumping
     size_t offset = 0;  ///< bump offset within curSlab
-    size_t slabBytes;
-    size_t reserved = 0;
-    size_t used = 0;
 };
 
 /** The thread's ambient arena (null outside any ArenaScope). */
@@ -158,8 +145,8 @@ struct ArenaAlloc
  * A std::vector whose storage comes from the ambient arena when one
  * is active at construction time (and from the heap otherwise). The
  * hot per-lane simulator containers are declared with this alias so
- * batched lanes pack lane-major (DESIGN.md §14) with zero call-site
- * changes.
+ * a batched lane packs into its arena (DESIGN.md §14) with zero
+ * call-site changes.
  */
 template <class T>
 using HotVec = std::vector<T, ArenaAlloc<T>>;

@@ -57,8 +57,9 @@ struct RegId
     {
         if (!valid())
             return "-";
-        return std::string(1, cls == RegClass::Int ? 'r' : 'f') +
-            std::to_string(idx);
+        std::string s = std::to_string(idx);
+        s.insert(s.begin(), cls == RegClass::Int ? 'r' : 'f');
+        return s;
     }
 };
 

@@ -1,6 +1,5 @@
 #include "sweep_batch.hh"
 
-#include <cstdlib>
 #include <map>
 #include <tuple>
 
@@ -23,43 +22,14 @@ namespace
  *  generation. */
 constexpr uint64_t kTapeSlack = 4096;
 
-/** Default committed instructions per lane turn. A lane's machine
- *  state (~1MB of ROB/rename/scheduler arrays) dwarfs the shared
- *  tape, so fine-grained rotation just thrashes the cache refilling
- *  lane state: measured on the fig10 quick grid, a 4096-instruction
- *  quantum costs ~8% end-to-end versus coarse turns, and throughput
- *  improves monotonically with quantum size. Default to a quantum
- *  larger than any phase slice so each turn runs to the lane's next
- *  phase boundary; PRI_BATCH_QUANTUM overrides for tests that want
- *  to exercise fine-grained rotation and straggler interleaving. */
-constexpr uint64_t kCommitQuantum = 1u << 20;
-
-uint64_t
-batchQuantum()
-{
-    static const uint64_t q = [] {
-        if (const char *s = std::getenv("PRI_BATCH_QUANTUM")) {
-            const uint64_t v = std::strtoull(s, nullptr, 10);
-            if (v != 0)
-                return v;
-        }
-        return kCommitQuantum;
-    }();
-    return q;
-}
-
-/** Per-worker-thread arena pool, one arena per lane slot, slabs
- *  retained and rewound across batches. Arenas must outlive every
- *  SimInstance built on them; batches on one thread are strictly
- *  sequential, so resetting slot i in prepare() is safe — the
- *  previous batch's lanes were destroyed in its finalize(). */
+/** This worker thread's lane arena. Batches on one thread are
+ *  strictly sequential and each lane is destroyed before the next
+ *  is built, so drain() may rewind it before every lane. */
 LaneArena &
-laneArena(size_t lane)
+workerArena()
 {
-    static thread_local std::vector<std::unique_ptr<LaneArena>> pool;
-    while (pool.size() <= lane)
-        pool.push_back(std::make_unique<LaneArena>());
-    return *pool[lane];
+    static thread_local LaneArena arena;
+    return arena;
 }
 
 } // namespace
@@ -141,66 +111,35 @@ SweepBatch::prepare()
         *shared.program, shared.traces.get(),
         first.warmupInsts + first.measureInsts + kTapeSlack);
     shared.tape = tape.get();
-
-    lanes.resize(group.indices.size());
-    for (size_t i = 0; i < group.indices.size(); ++i) {
-        Lane &lane = lanes[i];
-        lane.origIndex = group.indices[i];
-        const RunParams &p = all[lane.origIndex];
-        lane.flightCtx = paramsSummary(p);
-        fr.setContext(lane.flightCtx.c_str());
-        LaneArena &arena = laneArena(i);
-        arena.reset();
-        try {
-            ScopedErrorCapture capture;
-            lane.inst = std::make_unique<SimInstance>(p, &shared,
-                                                      &arena);
-            lane.active = true;
-        } catch (const core::ProgressStallError &e) {
-            lane.out.stalled = true;
-            lane.out.error = e.what();
-        } catch (const std::exception &e) {
-            lane.out.error = e.what();
-        } catch (...) {
-            lane.out.error = "unknown exception";
-        }
-    }
 }
 
 void
 SweepBatch::drain()
 {
     FlightRecorder &fr = flightRecorder();
-    const uint64_t quantum = batchQuantum();
-    size_t live = 0;
-    for (const Lane &lane : lanes)
-        live += lane.active ? 1 : 0;
-
-    while (live > 0) {
-        for (Lane &lane : lanes) {
-            if (!lane.active)
-                continue;
-            fr.setContext(lane.flightCtx.c_str());
-            try {
-                ScopedErrorCapture capture;
-                if (lane.inst->step(quantum)) {
-                    lane.active = false; // done; early retirement
-                    --live;
-                }
-            } catch (const core::ProgressStallError &e) {
-                lane.out.stalled = true;
-                lane.out.error = e.what();
-                lane.active = false;
-                --live;
-            } catch (const std::exception &e) {
-                lane.out.error = e.what();
-                lane.active = false;
-                --live;
-            } catch (...) {
-                lane.out.error = "unknown exception";
-                lane.active = false;
-                --live;
-            }
+    LaneArena &arena = workerArena();
+    outcomes.resize(group.indices.size());
+    for (size_t i = 0; i < group.indices.size(); ++i) {
+        const RunParams &p = all[group.indices[i]];
+        LaneOutcome &out = outcomes[i];
+        // Each lane starts its own forensics trail, as a serial
+        // simulate() does.
+        fr.clear();
+        fr.setContext(paramsSummary(p).c_str());
+        // The previous lane's machine is gone; reuse its slabs.
+        arena.reset();
+        try {
+            ScopedErrorCapture capture;
+            SimInstance inst(p, &shared, &arena);
+            inst.step(SimInstance::kNoLimit);
+            out.result = inst.finish();
+        } catch (const core::ProgressStallError &e) {
+            out.stalled = true;
+            out.error = e.what();
+        } catch (const std::exception &e) {
+            out.error = e.what();
+        } catch (...) {
+            out.error = "unknown exception";
         }
     }
 }
@@ -208,38 +147,7 @@ SweepBatch::drain()
 std::vector<LaneOutcome>
 SweepBatch::finalize()
 {
-    FlightRecorder &fr = flightRecorder();
-    std::vector<LaneOutcome> out;
-    out.reserve(lanes.size());
-    for (Lane &lane : lanes) {
-        if (lane.out.ok() &&
-            (lane.inst == nullptr || !lane.inst->done())) {
-            lane.out.error = "lane did not complete"; // unreachable
-        }
-        if (lane.out.ok()) {
-            fr.setContext(lane.flightCtx.c_str());
-            try {
-                ScopedErrorCapture capture;
-                lane.out.result = lane.inst->finish();
-            } catch (const std::exception &e) {
-                lane.out.error = e.what();
-            } catch (...) {
-                lane.out.error = "unknown exception";
-            }
-        }
-        out.push_back(std::move(lane.out));
-        // Lane machines borrow this thread's arena slots; release
-        // them now so the next batch may rewind the slabs.
-        lane.inst.reset();
-    }
-    lanes.clear();
-    return out;
-}
-
-uint64_t
-SweepBatch::tapeBytes() const
-{
-    return tape != nullptr ? tape->tapeBytes() : 0;
+    return std::move(outcomes);
 }
 
 } // namespace pri::sim

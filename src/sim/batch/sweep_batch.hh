@@ -12,14 +12,13 @@
  * ReplayTape across its lanes, and each lane re-derives only what
  * its own timing diverges on (wrong-path fetches).
  *
- * Lanes are stepped round-robin in committed-instruction quanta;
- * each lane's hot core state lives in its own LaneArena (huge-page
- * slabs, reused across batches), so the K live machines stay
- * cache-compact instead of strewn across the heap. A lane that
- * finishes early retires from the rotation; stragglers keep going
- * alone. Results are byte-identical to serial execution — the
- * phase machine is slice-invariant (see SimInstance) and the tape
- * holds exactly what live generation would produce.
+ * Lanes are independent serial simulations, so a batch runs them
+ * one at a time, in group order: each lane is built in the worker
+ * thread's single LaneArena, run to completion, finished, and
+ * destroyed before the next lane is built. Only one lane's machine
+ * is ever live per worker. Results are byte-identical to serial
+ * execution: the tape holds exactly what live generation would
+ * produce.
  */
 
 #ifndef PRI_SIM_BATCH_SWEEP_BATCH_HH
@@ -36,7 +35,8 @@ namespace pri::sim
 {
 
 /** Lane count used for "auto" (--batch 0): points per group is
- *  bounded by the grid shape, so this just caps arena residency. */
+ *  bounded by the grid shape, so this just caps how many points
+ *  one tape build serves. */
 unsigned defaultBatchLanes();
 
 /**
@@ -78,11 +78,10 @@ struct LaneOutcome
 
 /**
  * One batch in flight. Lifecycle: prepare() builds the shared
- * workload and the lanes (the allocation phase), drain() round-
- * robins the lanes to completion (the zero-steady-state-allocation
- * replay loop; perf_smoke measures exactly this window), and
- * finalize() assembles per-lane outcomes. Runs entirely on the
- * calling thread.
+ * workload, drain() runs every lane to completion one at a time
+ * (the zero-steady-state-allocation replay loop; perf_smoke
+ * measures exactly this window), and finalize() hands back the
+ * per-lane outcomes. Runs entirely on the calling thread.
  */
 class SweepBatch
 {
@@ -94,38 +93,24 @@ class SweepBatch
     SweepBatch(const SweepBatch &) = delete;
     SweepBatch &operator=(const SweepBatch &) = delete;
 
-    /** Build shared workload + lanes. Lane build errors are
-     *  captured into that lane's outcome, not thrown. */
+    /** Build the shared program, traces and replay tape. */
     void prepare();
 
-    /** Step all live lanes round-robin until each is done or dead.
-     *  Commit quantum: PRI_BATCH_QUANTUM env, else a quantum large
-     *  enough that each turn runs to the lane's next phase boundary
-     *  (fine-grained rotation thrashes per-lane machine state). */
+    /** For each lane in group order: build it in this thread's
+     *  arena, step it to completion and finish it. Lane errors are
+     *  captured into that lane's outcome, not thrown. */
     void drain();
 
     /** Per-lane outcomes, in group-lane order (same order as
-     *  group.indices). Destroys the lanes. */
+     *  group.indices). */
     std::vector<LaneOutcome> finalize();
 
-    /** Tape bytes built for this batch (diagnostics). */
-    uint64_t tapeBytes() const;
-
   private:
-    struct Lane
-    {
-        size_t origIndex = 0;
-        std::string flightCtx; ///< pre-formatted (no alloc in drain)
-        std::unique_ptr<SimInstance> inst;
-        LaneOutcome out;
-        bool active = false;
-    };
-
     const std::vector<RunParams> &all;
     BatchGroup group;
     SharedWorkload shared;
     std::unique_ptr<workload::ReplayTape> tape;
-    std::vector<Lane> lanes;
+    std::vector<LaneOutcome> outcomes;
 };
 
 } // namespace pri::sim

@@ -3,15 +3,15 @@
  * SimInstance: one simulation request as a steppable object.
  *
  * simulate() is SimInstance run to completion in one go; a
- * SweepBatch (DESIGN.md §14) holds K of them — the lanes — and
- * round-robins step() across them in committed-instruction quanta
- * off one shared workload (program + compiled traces + ReplayTape).
- * The phase machine (Warmup → Measure → Done) reproduces exactly
- * the operation sequence of the old monolithic simulate() body:
- * cpu.run() is slice-invariant (its commit target, watchdog audit
- * points, and wall-clock deadline are all absolute), so splitting
- * the two big run() calls into quanta leaves every cycle — and
- * therefore every stat and the full report — byte-identical.
+ * SweepBatch (DESIGN.md §14) runs its lanes the same way, one after
+ * another, off one shared workload (program + compiled traces +
+ * ReplayTape). The phase machine (Warmup → Measure → Done)
+ * reproduces exactly the operation sequence of the old monolithic
+ * simulate() body: cpu.run() is slice-invariant (its commit target,
+ * watchdog audit points, and wall-clock deadline are all absolute),
+ * so splitting the two big run() calls into quanta leaves every
+ * cycle — and therefore every stat and the full report —
+ * byte-identical (test_sweep_batch's SliceInvariance test).
  */
 
 #ifndef PRI_SIM_SIM_INSTANCE_HH
@@ -53,7 +53,7 @@ class SimInstance
      * program/traces, which is the serial simulate() path. @p arena,
      * when non-null, becomes the ambient arena while the core is
      * constructed, packing its hot per-lane state (ROB rings,
-     * free-list stacks, scheduler bitmaps, ...) into that lane's
+     * free-list stacks, scheduler bitmaps, ...) into the arena's
      * slabs. The arena must outlive the instance.
      *
      * Does NOT apply the injectTransientFails seam — callers that
@@ -74,13 +74,8 @@ class SimInstance
      */
     bool step(uint64_t quantum);
 
-    bool done() const { return phase == Phase::Done; }
-
-    /** Assemble the RunResult (legal once done()). */
+    /** Assemble the RunResult (legal once step() returned true). */
     RunResult finish();
-
-    /** Params this instance was built for (batch bookkeeping). */
-    const RunParams &runParams() const { return params; }
 
     /** The simulated machine, for tests that audit it between
      *  steps. */

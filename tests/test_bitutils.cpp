@@ -96,9 +96,10 @@ TEST(SignificantBits, ConsistentWithFitsInSignedBits)
     for (uint64_t v : samples) {
         const unsigned w = significantBits(v);
         EXPECT_TRUE(fitsInSignedBits(v, w)) << v << " w=" << w;
-        if (w > 1)
+        if (w > 1) {
             EXPECT_FALSE(fitsInSignedBits(v, w - 1))
                 << v << " w=" << w;
+        }
     }
 }
 

@@ -128,10 +128,11 @@ TEST(FreeList, RandomizedLivenessAndConservationProperty)
             const size_t k =
                 hashCombine(seed, step, 2) % retired.size();
             const auto p = retired[k];
-            if (live.count(p) == 0)
+            if (live.count(p) == 0) {
                 EXPECT_FALSE(fl.free(p))
                     << "step " << step << ": duplicate free of "
                     << p << " was not filtered";
+            }
         }
         ASSERT_EQ(fl.numAllocated() + fl.numFree(), kTotal);
         ASSERT_EQ(fl.numAllocated(), kArch + live.size());

@@ -103,8 +103,9 @@ TEST(PortArbiter, RandomizedAgainstReference)
                     ++granted_ops;
                     granted_ports += pending[i].need;
                     // Zero-need ops issue even with nothing left.
-                    if (pending[i].need == 0 && budget != 0)
+                    if (pending[i].need == 0 && budget != 0) {
                         EXPECT_LE(ports_this_cycle, budget);
+                    }
                 } else {
                     any_denied = true;
                     ++denied_ops;

@@ -81,8 +81,9 @@ TEST_P(ProgramTest, MemOpsReferenceValidStreams)
             if (isa::isMem(si.cls)) {
                 EXPECT_GE(si.memStream, 0);
                 EXPECT_LT(si.memStream, n_streams);
-                if (si.altStream >= 0)
+                if (si.altStream >= 0) {
                     EXPECT_LT(si.altStream, n_streams);
+                }
             } else {
                 EXPECT_EQ(si.memStream, -1);
             }

@@ -1,15 +1,11 @@
 /**
  * @file
- * Tests for batched SoA sweep execution (sim/batch/sweep_batch.hh):
+ * Tests for batched sweep execution (sim/batch/sweep_batch.hh):
  * batch formation by workload fingerprint, full-report byte
  * equality between batched and serial execution across schemes,
- * widths, and seeds, early lane retirement, straggler lanes, and
- * journal interaction (hits are excluded before batches form).
- *
- * The CMake registration runs this binary twice: once with the
- * default (coarse) batch quantum and once with PRI_BATCH_QUANTUM
- * forced small, so fine-grained lane rotation — including stragglers
- * interleaved mid-phase — gets the same equality coverage.
+ * widths, and seeds, a failing lane next to healthy siblings,
+ * straggler lanes, journal interaction (hits are excluded before
+ * batches form), and the slice invariance of SimInstance::step().
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +20,7 @@
 #include "sim/batch/sweep_batch.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
+#include "sim/sim_instance.hh"
 #include "sim/simulation.hh"
 
 namespace pri::sim
@@ -224,9 +221,9 @@ TEST(SweepBatchEquality, AutoLaneCountMatchesSerial)
 }
 
 /**
- * A lane that dies mid-drain retires from the rotation early and
- * does not perturb its siblings: a cycle-budget stall in one lane,
- * every other lane byte-identical to serial.
+ * A lane that dies mid-drain does not perturb its siblings: a
+ * cycle-budget stall in one lane, every other lane byte-identical
+ * to serial.
  */
 TEST(SweepBatch, EarlyLaneRetirementOnStall)
 {
@@ -264,8 +261,7 @@ TEST(SweepBatch, EarlyLaneRetirementOnStall)
 /**
  * Straggler regression: one lane configured an order of magnitude
  * slower (minimal register file and scheduler) shares a batch with
- * fast siblings. The fast lanes retire early; the straggler keeps
- * rotating alone and still matches its serial run byte for byte.
+ * fast siblings and still matches its serial run byte for byte.
  */
 TEST(SweepBatch, StragglerLaneMatchesSerial)
 {
@@ -356,6 +352,32 @@ TEST(SweepBatch, TransientFailureRetriesInsideBatchedSweep)
     ASSERT_TRUE(out[1].ok()) << out[1].error;
     EXPECT_EQ(out[1].attempts, 3u);
     EXPECT_EQ(out[0].attempts, 1u);
+}
+
+/**
+ * SimInstance::step() is slice-invariant: an instance stepped in
+ * small committed-instruction quanta, with phase boundaries falling
+ * mid-quantum, produces the same full report as one run to
+ * completion in a single step.
+ */
+TEST(SliceInvariance, QuantumSteppedMatchesSingleStep)
+{
+    constexpr uint64_t kQuantum = 768;
+    for (const RunParams &p : schemeGrid()) {
+        SimInstance whole(p);
+        ASSERT_TRUE(whole.step(SimInstance::kNoLimit));
+        const RunResult ref = whole.finish();
+
+        SimInstance sliced(p);
+        uint64_t steps = 1;
+        while (!sliced.step(kQuantum))
+            ++steps;
+        EXPECT_GT(steps, (p.warmupInsts + p.measureInsts) / kQuantum);
+        const RunResult got = sliced.finish();
+        EXPECT_EQ(got.report, ref.report) << paramsSummary(p);
+        EXPECT_EQ(got.cycles, ref.cycles) << paramsSummary(p);
+        EXPECT_EQ(got.archSig, ref.archSig) << paramsSummary(p);
+    }
 }
 
 } // namespace

@@ -186,8 +186,9 @@ TEST(Walker, SeqNumbersAreUniqueAndMonotonic)
         WInst wi = w.next();
         if (wi.isBranch())
             w.steer(wi, wi.taken, wi.actualTarget);
-        if (!first)
+        if (!first) {
             EXPECT_GT(wi.seq, prev);
+        }
         prev = wi.seq;
         first = false;
     }

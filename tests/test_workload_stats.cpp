@@ -112,10 +112,11 @@ TEST_P(WorkloadStatsTest, DynamicMixTracksProfile)
     EXPECT_NEAR(s.loads / n, p.fracLoad, 0.15) << p.name;
     EXPECT_NEAR(s.stores / n, p.fracStore, 0.12) << p.name;
     EXPECT_NEAR(s.branches / n, p.fracBranch, 0.10) << p.name;
-    if (p.suite == Suite::Fp)
+    if (p.suite == Suite::Fp) {
         EXPECT_GT(s.fpOps / n, 0.08) << p.name;
-    else if (p.fracFpAdd + p.fracFpMult == 0.0)
+    } else if (p.fracFpAdd + p.fracFpMult == 0.0) {
         EXPECT_EQ(s.fpOps, 0u) << p.name;
+    }
 }
 
 TEST_P(WorkloadStatsTest, BranchTakenRateIsPlausible)
