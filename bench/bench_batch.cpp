@@ -216,7 +216,7 @@ main(int argc, char **argv)
     unsigned reps = 3;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
-            reps = static_cast<unsigned>(std::atoi(argv[++i]));
+            reps = parseCount("--reps", argv[++i]);
     }
 
     const auto grid = makeFig10Grid(opts.budget);

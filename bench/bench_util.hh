@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
@@ -138,11 +139,10 @@ parseOptions(int argc, char **argv)
     o.budget = parseBudget(argc, argv);
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            o.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+            o.jobs = parseCount("--jobs", argv[++i]);
         } else if (std::strcmp(argv[i], "--batch") == 0 &&
                    i + 1 < argc) {
-            o.batchLanes =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+            o.batchLanes = parseCount("--batch", argv[++i]);
         } else if (std::strcmp(argv[i], "--json") == 0 &&
                    i + 1 < argc) {
             o.jsonPath = argv[++i];
@@ -151,14 +151,13 @@ parseOptions(int argc, char **argv)
             o.journalPath = argv[++i];
         } else if (std::strcmp(argv[i], "--timeout-ms") == 0 &&
                    i + 1 < argc) {
-            o.timeoutMs =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
+            o.timeoutMs = parseNumber("--timeout-ms", argv[++i]);
         } else if (std::strcmp(argv[i], "--retries") == 0 &&
                    i + 1 < argc) {
-            o.retries = static_cast<unsigned>(std::atoi(argv[++i]));
+            o.retries = parseCount("--retries", argv[++i]);
         } else if (std::strcmp(argv[i], "--backoff-ms") == 0 &&
                    i + 1 < argc) {
-            o.backoffMs = static_cast<unsigned>(std::atoi(argv[++i]));
+            o.backoffMs = parseCount("--backoff-ms", argv[++i]);
         } else if (std::strcmp(argv[i], "--server") == 0 &&
                    i + 1 < argc) {
             o.serverPath = argv[++i];

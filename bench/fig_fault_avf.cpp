@@ -129,12 +129,11 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--injections") == 0 &&
             i + 1 < argc) {
-            spec.injections =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+            spec.injections = parseCount("--injections", argv[++i]);
         } else if (std::strcmp(argv[i], "--campaign-seed") == 0 &&
                    i + 1 < argc) {
             spec.campaignSeed =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
+                parseNumber("--campaign-seed", argv[++i]);
         }
     }
     if (spec.injections == 0)

@@ -417,8 +417,10 @@ main(int argc, char **argv)
 
     const auto batch = makeBatch(opts.budget);
 
-    // Sharing across the sweep: 26 points over 13 benchmarks means
-    // each program should compile once and be shared by the rest.
+    // Sharing across the sweep: 26 points over 13 benchmarks. The
+    // cache keeps only traces in use, so the serial leg compiles once
+    // per point and the parallel leg shares a compilation only
+    // between points of one program that run at the same time.
     const auto tc0 = workload::trace::TraceCache::global().stats();
 
     auto t0 = Clock::now();

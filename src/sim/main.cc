@@ -35,15 +35,13 @@
  * results are byte-identical to `--batch 1`.
  */
 
-#include <charconv>
 #include <cstdio>
-#include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/hashing.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "faults/fault_arg.hh"
 #include "isa/reg.hh"
 #include "sim/journal.hh"
@@ -53,25 +51,6 @@
 
 namespace
 {
-
-/**
- * The value of option @p opt as a whole decimal number no larger
- * than @p max. Anything else (signs, blanks, trailing text,
- * overflow) is a fatal usage error rather than a silent 0.
- */
-uint64_t
-parseNumber(const std::string &opt, const char *text,
-            uint64_t max = std::numeric_limits<uint64_t>::max())
-{
-    const char *end = text + std::strlen(text);
-    uint64_t v = 0;
-    const auto [ptr, ec] = std::from_chars(text, end, v);
-    if (ptr == text || ptr != end || ec != std::errc{} || v > max)
-        pri::fatal("{}: expected a whole number no larger than {}, "
-                   "got '{}'",
-                   opt, max, text);
-    return v;
-}
 
 /** Reject machine shapes the core cannot build (it would assert). */
 void
@@ -199,11 +178,8 @@ main(int argc, char **argv)
                 pri::fatal("missing value for {}", a);
             return argv[++i];
         };
-        auto number = [&] { return parseNumber(a, next()); };
-        auto count = [&] {
-            return static_cast<unsigned>(parseNumber(
-                a, next(), std::numeric_limits<unsigned>::max()));
-        };
+        auto number = [&] { return pri::parseNumber(a, next()); };
+        auto count = [&] { return pri::parseCount(a, next()); };
         if (a == "-b") {
             p.benchmark = next();
         } else if (a == "-w") {

@@ -20,15 +20,18 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "faults/fault_arg.hh"
 #include "sweepd/client.hh"
 #include "sweepd/daemon.hh"
@@ -69,12 +72,15 @@ usage(const char *argv0)
         argv0);
 }
 
+/** Strict, so "-1", "x" or a count past @p max is a usage error
+ *  rather than a wrapped-around number of workers or attempts. */
 bool
-parseU(const char *s, unsigned long &out)
+parseU(const char *s, uint64_t &out,
+       uint64_t max = std::numeric_limits<unsigned>::max())
 {
-    char *e = nullptr;
-    out = std::strtoul(s, &e, 10);
-    return e != s && *e == '\0';
+    const auto v = pri::tryParseNumber(s, max);
+    out = v.value_or(0);
+    return v.has_value();
 }
 
 } // namespace
@@ -100,7 +106,7 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const char *val = i + 1 < argc ? argv[i + 1] : nullptr;
-        unsigned long n = 0;
+        uint64_t n = 0;
         if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -121,7 +127,7 @@ main(int argc, char **argv)
             cfg.maxAttempts = static_cast<unsigned>(n);
             ++i;
         } else if (arg == "--timeout-ms" && val != nullptr &&
-                   parseU(val, n)) {
+                   parseU(val, n, std::numeric_limits<uint64_t>::max())) {
             cfg.timeoutMs = n;
             ++i;
         } else if (arg == "--inject-fault" && val != nullptr) {

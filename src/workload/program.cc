@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <deque>
 
 #include "common/bitutils.hh"
@@ -25,6 +26,12 @@ clampd(double v, double lo, double hi)
     return std::min(hi, std::max(lo, v));
 }
 
+uint64_t
+mixDouble(uint64_t h, double v)
+{
+    return hashCombine(h, std::bit_cast<uint64_t>(v));
+}
+
 } // namespace
 
 SyntheticProgram::SyntheticProgram(const BenchmarkProfile &profile,
@@ -34,6 +41,7 @@ SyntheticProgram::SyntheticProgram(const BenchmarkProfile &profile,
     SplitMixRng rng(splitMix64(seed ^ 0xb10c5));
     buildStreams();
     buildFunctions(rng);
+    fp = programFingerprint(*this);
 }
 
 void
@@ -368,6 +376,54 @@ SyntheticProgram::locateBlockStart(uint64_t pc) const
     if (it == blockByPc.end())
         panic("pc {:#x} is not a block start", pc);
     return ProgLoc{it->second, 0};
+}
+
+uint64_t
+programFingerprint(const SyntheticProgram &prog)
+{
+    const auto &p = prog.profile();
+    uint64_t h = hashCombine(0x7472616365ULL /* "trace" */,
+                             prog.seed(), prog.numBlocks());
+    h = hashCombine(h, prog.numStaticInsts());
+
+    // Every scalar the replay generators compare against.
+    h = mixDouble(h, p.fracNegative);
+    h = mixDouble(h, p.fpFracZero);
+    h = mixDouble(h, p.fpFracSigTrivialNonZero);
+    h = mixDouble(h, p.randomAccessFrac);
+    h = mixDouble(h, p.branchCorrelatedFrac);
+    for (unsigned bits = 1; bits <= 64; ++bits)
+        h = mixDouble(h, prog.widthCdf().at(bits));
+
+    for (const MemStream &st : prog.streams()) {
+        h = hashCombine(h, st.base, st.bytes);
+        h = hashCombine(h, st.random ? 1 : 0);
+    }
+
+    for (uint32_t b = 0; b < prog.numBlocks(); ++b) {
+        const BasicBlock &blk = prog.block(b);
+        h = hashCombine(h, blk.startPc, blk.fallthrough);
+        for (const StaticInst &si : blk.insts) {
+            h = hashCombine(h, si.id, si.pc);
+            h = hashCombine(h, static_cast<uint64_t>(si.cls),
+                            (uint64_t{si.dst.flat()} << 32) |
+                                (uint64_t{si.src1.flat()} << 16) |
+                                si.src2.flat());
+            h = hashCombine(h,
+                            std::bit_cast<uint32_t>(si.memStream),
+                            std::bit_cast<uint32_t>(si.altStream));
+            h = hashCombine(h, si.takenBlock,
+                            std::bit_cast<uint32_t>(si.bias));
+            h = hashCombine(h,
+                            (uint64_t{si.isCall} << 5) |
+                                (uint64_t{si.isReturn} << 4) |
+                                (uint64_t{si.isUncond} << 3) |
+                                (uint64_t{si.correlatable} << 2) |
+                                (uint64_t{si.isDeadHint} << 1),
+                            si.widthClass);
+        }
+    }
+    return h;
 }
 
 } // namespace pri::workload

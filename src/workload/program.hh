@@ -138,6 +138,10 @@ class SyntheticProgram
     /** The dense width CDF for integer value generation. */
     const WidthCdf &widthCdf() const { return cdf; }
 
+    /** programFingerprint(*this), computed once at the end of
+     *  construction: the program never changes afterwards. */
+    uint64_t fingerprint() const { return fp; }
+
     /**
      * Deepest call stack a walk can build: calls go only to
      * higher-numbered functions (the call graph is acyclic), so a
@@ -168,7 +172,17 @@ class SyntheticProgram
     std::vector<uint32_t> funcEntry;
     std::unordered_map<uint64_t, uint32_t> blockByPc;
     size_t numInsts = 0;
+    uint64_t fp = 0;
 };
+
+/**
+ * Content fingerprint of a program: a hash over every StaticInst
+ * field, stream, and profile scalar that influences compiled traces
+ * or replay draws. Keying the trace cache by content (not by profile
+ * name) keeps sharing correct even for hand-built profiles reusing a
+ * name. SyntheticProgram::fingerprint() caches it.
+ */
+uint64_t programFingerprint(const SyntheticProgram &prog);
 
 } // namespace pri::workload
 

@@ -1,74 +1,13 @@
 #include "workload/trace/trace_cache.hh"
 
 #include <algorithm>
-#include <bit>
 
-#include "common/hashing.hh"
 #include "common/logging.hh"
 #include "workload/gen_params.hh"
 #include "workload/trace/block_compiler.hh"
 
 namespace pri::workload::trace
 {
-
-namespace
-{
-
-uint64_t
-mixDouble(uint64_t h, double v)
-{
-    return hashCombine(h, std::bit_cast<uint64_t>(v));
-}
-
-} // namespace
-
-uint64_t
-programFingerprint(const SyntheticProgram &prog)
-{
-    const auto &p = prog.profile();
-    uint64_t h = hashCombine(0x7472616365ULL /* "trace" */,
-                             prog.seed(), prog.numBlocks());
-    h = hashCombine(h, prog.numStaticInsts());
-
-    // Every scalar the replay generators compare against.
-    h = mixDouble(h, p.fracNegative);
-    h = mixDouble(h, p.fpFracZero);
-    h = mixDouble(h, p.fpFracSigTrivialNonZero);
-    h = mixDouble(h, p.randomAccessFrac);
-    h = mixDouble(h, p.branchCorrelatedFrac);
-    for (unsigned bits = 1; bits <= 64; ++bits)
-        h = mixDouble(h, prog.widthCdf().at(bits));
-
-    for (const MemStream &st : prog.streams()) {
-        h = hashCombine(h, st.base, st.bytes);
-        h = hashCombine(h, st.random ? 1 : 0);
-    }
-
-    for (uint32_t b = 0; b < prog.numBlocks(); ++b) {
-        const BasicBlock &blk = prog.block(b);
-        h = hashCombine(h, blk.startPc, blk.fallthrough);
-        for (const StaticInst &si : blk.insts) {
-            h = hashCombine(h, si.id, si.pc);
-            h = hashCombine(h, static_cast<uint64_t>(si.cls),
-                            (uint64_t{si.dst.flat()} << 32) |
-                                (uint64_t{si.src1.flat()} << 16) |
-                                si.src2.flat());
-            h = hashCombine(h,
-                            std::bit_cast<uint32_t>(si.memStream),
-                            std::bit_cast<uint32_t>(si.altStream));
-            h = hashCombine(h, si.takenBlock,
-                            std::bit_cast<uint32_t>(si.bias));
-            h = hashCombine(h,
-                            (uint64_t{si.isCall} << 5) |
-                                (uint64_t{si.isReturn} << 4) |
-                                (uint64_t{si.isUncond} << 3) |
-                                (uint64_t{si.correlatable} << 2) |
-                                (uint64_t{si.isDeadHint} << 1),
-                            si.widthClass);
-        }
-    }
-    return h;
-}
 
 ProgramTraces::ProgramTraces(const SyntheticProgram &prog)
 {
@@ -78,7 +17,7 @@ ProgramTraces::ProgramTraces(const SyntheticProgram &prog)
     fpFracSigTrivialNonZero = p.fpFracSigTrivialNonZero;
     randomAccessFrac = p.randomAccessFrac;
     branchCorrelatedFrac = p.branchCorrelatedFrac;
-    fp = programFingerprint(prog);
+    fp = prog.fingerprint();
     entryPc_ = prog.block(prog.entry().block).startPc;
 
     const size_t nb = prog.numBlocks();
@@ -117,23 +56,23 @@ TraceCache::global()
 std::shared_ptr<const ProgramTraces>
 TraceCache::acquire(const SyntheticProgram &prog)
 {
-    const uint64_t key = programFingerprint(prog);
     std::lock_guard<std::mutex> lock(mu);
-    if (auto it = entries.find(key); it != entries.end()) {
-        ++nShared;
-        return it->second;
+    if (auto it = entries.find(prog.fingerprint());
+        it != entries.end()) {
+        if (auto live = it->second.lock()) {
+            ++nShared;
+            return live;
+        }
     }
-    if (entries.size() >= kMaxPrograms) {
-        // Rare wholesale trim (fuzzers draw fresh seeds forever).
-        // Live walkers hold shared_ptrs, so nothing is invalidated.
-        nEvicted += entries.size();
-        entries.clear();
-    }
+    // A miss: drop the entries whose traces have been freed, so the
+    // map stays as small as the set of programs in use.
+    std::erase_if(entries,
+                  [](const auto &e) { return e.second.expired(); });
     auto traces = std::make_shared<const ProgramTraces>(prog);
     ++nCompiled;
     nBlocks += traces->numBlocks();
     nOps += traces->numOps();
-    entries.emplace(key, traces);
+    entries.emplace(prog.fingerprint(), traces);
     return traces;
 }
 
@@ -144,11 +83,12 @@ TraceCache::stats() const
     Stats s;
     s.programsCompiled = nCompiled;
     s.programsShared = nShared;
-    s.programsEvicted = nEvicted;
     s.blocksCompiled = nBlocks;
     s.microOps = nOps;
-    for (const auto &[key, traces] : entries)
-        s.traceBytes += traces->traceBytes();
+    for (const auto &[key, entry] : entries) {
+        if (const auto traces = entry.lock())
+            s.traceBytes += traces->traceBytes();
+    }
     s.opsReplayed = opsReplayed.load(std::memory_order_relaxed);
     s.opsLegacyDecoded = opsLegacy.load(std::memory_order_relaxed);
     return s;
@@ -159,7 +99,7 @@ TraceCache::reset()
 {
     std::lock_guard<std::mutex> lock(mu);
     entries.clear();
-    nCompiled = nShared = nEvicted = nBlocks = nOps = 0;
+    nCompiled = nShared = nBlocks = nOps = 0;
     opsReplayed.store(0, std::memory_order_relaxed);
     opsLegacy.store(0, std::memory_order_relaxed);
 }

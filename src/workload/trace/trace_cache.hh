@@ -9,10 +9,11 @@
  * of profile scalars the replay generators read. It is immutable
  * after compilation.
  *
- * The TraceCache shares ProgramTraces across all sweep points of the
- * same workload: keyed by a content fingerprint of the program, built
- * once under a mutex on first acquire, then handed out read-only — so
- * `--jobs N` workers and whole fig10-style sweeps stop re-decoding
+ * The TraceCache shares ProgramTraces among everyone simulating the
+ * same program at once: keyed by the program's content fingerprint,
+ * built once under a mutex by the first acquirer, then handed out
+ * read-only. It holds only weak references, so a program's traces
+ * live exactly as long as some core or batch holds them
  * (DESIGN.md §13).
  */
 
@@ -96,24 +97,18 @@ class ProgramTraces
 };
 
 /**
- * Content fingerprint of a program: a hash over every StaticInst
- * field, stream, and profile scalar that influences compiled traces
- * or replay draws. Keying the cache by content (not by profile name)
- * keeps sharing correct even for hand-built profiles reusing a name.
- */
-uint64_t programFingerprint(const SyntheticProgram &prog);
-
-/**
  * Process-global, thread-safe cache of compiled program traces.
  * First acquire of a program compiles under the mutex; concurrent
  * acquirers of the same program wait and share the one compilation.
+ * Entries are weak: traces are freed with their last holder, and a
+ * later acquire compiles them again.
  */
 class TraceCache
 {
   public:
     static TraceCache &global();
 
-    /** Get (compiling if needed) the traces for @p prog. */
+    /** Get (compiling if none are live) the traces for @p prog. */
     std::shared_ptr<const ProgramTraces>
     acquire(const SyntheticProgram &prog);
 
@@ -121,10 +116,9 @@ class TraceCache
     {
         uint64_t programsCompiled = 0; ///< acquire() misses
         uint64_t programsShared = 0;   ///< acquire() hits
-        uint64_t programsEvicted = 0;  ///< capacity-trim drops
         uint64_t blocksCompiled = 0;   ///< cumulative
         uint64_t microOps = 0;         ///< cumulative
-        uint64_t traceBytes = 0;       ///< currently resident
+        uint64_t traceBytes = 0;       ///< currently held
         uint64_t opsReplayed = 0;      ///< traced next() calls
         uint64_t opsLegacyDecoded = 0; ///< legacy next() calls
 
@@ -149,21 +143,16 @@ class TraceCache
         opsLegacy.fetch_add(legacy, std::memory_order_relaxed);
     }
 
-    /** Drop all cached programs and zero statistics (tests/bench). */
+    /** Forget all entries and zero statistics (tests/bench); traces
+     *  still held stay valid for their holders. */
     void reset();
 
   private:
-    // Fuzzers draw a fresh seed per point, so the map could otherwise
-    // grow without bound across a long process. Live walkers keep
-    // their shared_ptr, so a trim never invalidates anyone.
-    static constexpr size_t kMaxPrograms = 128;
-
     mutable std::mutex mu;
-    std::unordered_map<uint64_t, std::shared_ptr<const ProgramTraces>>
+    std::unordered_map<uint64_t, std::weak_ptr<const ProgramTraces>>
         entries;
     uint64_t nCompiled = 0;
     uint64_t nShared = 0;
-    uint64_t nEvicted = 0;
     uint64_t nBlocks = 0;
     uint64_t nOps = 0;
     std::atomic<uint64_t> opsReplayed{0};

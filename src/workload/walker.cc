@@ -24,8 +24,7 @@ Walker::Walker(const SyntheticProgram &program,
       tape_(tape)
 {
     PRI_ASSERT(traces == nullptr ||
-                   traces->fingerprint() ==
-                       trace::programFingerprint(program),
+                   traces->fingerprint() == program.fingerprint(),
                "walker given traces compiled from another program");
     PRI_ASSERT(tape == nullptr || traces != nullptr,
                "tape replay requires the traced walker");

@@ -5,7 +5,8 @@
  * walker must emit a byte-identical WInst stream to the legacy decode
  * path (including across wrong-path detours and mid-block restores),
  * and the process-global TraceCache must share one compilation across
- * all walkers of the same program. Also holds the checkpointInto
+ * all walkers of the same program while it is held, and free it with
+ * its last holder. Also holds the checkpointInto
  * stack-reuse regression test: once a pooled checkpoint slot has seen
  * the deepest call stack, captures must never reallocate.
  */
@@ -16,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "sim/simulation.hh"
 #include "workload/profile.hh"
 #include "workload/program.hh"
 #include "workload/trace/micro_op.hh"
@@ -300,15 +302,103 @@ TEST(TraceCacheTest, FingerprintIsContentSensitive)
     SyntheticProgram b(profileByName("gcc"), 8);
     SyntheticProgram c(profileByName("gzip"), 7);
 
-    EXPECT_EQ(trace::programFingerprint(a1),
-              trace::programFingerprint(a2));
-    EXPECT_NE(trace::programFingerprint(a1),
-              trace::programFingerprint(b));
-    EXPECT_NE(trace::programFingerprint(a1),
-              trace::programFingerprint(c));
+    EXPECT_EQ(a1.fingerprint(), a2.fingerprint());
+    EXPECT_NE(a1.fingerprint(), b.fingerprint());
+    EXPECT_NE(a1.fingerprint(), c.fingerprint());
 
     trace::ProgramTraces traces(a1);
-    EXPECT_EQ(traces.fingerprint(), trace::programFingerprint(a1));
+    EXPECT_EQ(traces.fingerprint(), a1.fingerprint());
+}
+
+TEST(TraceCacheTest, CachedFingerprintMatchesRecomputation)
+{
+    for (const auto &prof : allProfiles()) {
+        for (uint64_t seed : {3u, 11u}) {
+            const SyntheticProgram prog(prof, seed);
+            EXPECT_EQ(prog.fingerprint(), programFingerprint(prog))
+                << prof.name << " seed " << seed;
+        }
+    }
+}
+
+/** Every MicroOp field equal, the union slots through one member. */
+void
+expectSameOp(const trace::MicroOp &a, const trace::MicroOp &b,
+             size_t i)
+{
+    EXPECT_EQ(a.pc, b.pc) << "op " << i;
+    EXPECT_EQ(a.preWidthSel, b.preWidthSel) << "op " << i;
+    EXPECT_EQ(a.preWidthJit, b.preWidthJit) << "op " << i;
+    EXPECT_EQ(a.preWidthNew, b.preWidthNew) << "op " << i;
+    EXPECT_EQ(a.preMag, b.preMag) << "op " << i;
+    EXPECT_EQ(a.preNeg, b.preNeg) << "op " << i;
+    EXPECT_EQ(a.preStreamSel, b.preStreamSel) << "op " << i;
+    EXPECT_EQ(a.preAddr, b.preAddr) << "op " << i;
+    EXPECT_EQ(a.preAddrCold, b.preAddrCold) << "op " << i;
+    EXPECT_EQ(a.staticId, b.staticId) << "op " << i;
+    EXPECT_EQ(a.takenBlock, b.takenBlock) << "op " << i;
+    EXPECT_EQ(a.fallthroughBlock, b.fallthroughBlock) << "op " << i;
+    EXPECT_EQ(a.stream, b.stream) << "op " << i;
+    EXPECT_EQ(a.altStream, b.altStream) << "op " << i;
+    EXPECT_EQ(a.dst.flat(), b.dst.flat()) << "op " << i;
+    EXPECT_EQ(a.src1.flat(), b.src1.flat()) << "op " << i;
+    EXPECT_EQ(a.src2.flat(), b.src2.flat()) << "op " << i;
+    EXPECT_EQ(a.cls, b.cls) << "op " << i;
+    EXPECT_EQ(a.kind, b.kind) << "op " << i;
+    EXPECT_EQ(a.flags, b.flags) << "op " << i;
+    EXPECT_EQ(a.widthClass, b.widthClass) << "op " << i;
+}
+
+TEST(TraceCacheTest, TracesAreFreedWithTheirLastHolder)
+{
+    auto &cache = trace::TraceCache::global();
+    cache.reset();
+
+    SyntheticProgram prog(profileByName("gcc"), 7);
+    auto a = cache.acquire(prog);
+    auto b = cache.acquire(prog);
+    ASSERT_EQ(a.get(), b.get());
+    EXPECT_EQ(cache.stats().traceBytes, a->traceBytes());
+
+    const uint64_t fp = a->fingerprint();
+    const std::vector<trace::MicroOp> first(
+        a->blockOps(0), a->blockOps(0) + a->numOps());
+
+    a.reset();
+    EXPECT_EQ(cache.stats().traceBytes, b->traceBytes());
+    b.reset();
+    EXPECT_EQ(cache.stats().traceBytes, 0u);
+
+    // Nothing holds them any more, so the next acquire compiles.
+    const auto again = cache.acquire(prog);
+    const auto s = cache.stats();
+    EXPECT_EQ(s.programsCompiled, 2u);
+    EXPECT_EQ(s.programsShared, 1u);
+    EXPECT_EQ(again->fingerprint(), fp);
+    ASSERT_EQ(again->numOps(), first.size());
+    for (size_t i = 0; i < first.size(); ++i)
+        expectSameOp(again->blockOps(0)[i], first[i], i);
+
+    cache.reset();
+}
+
+TEST(TraceCacheTest, SingletonPointsLeaveNoTracesResident)
+{
+    auto &cache = trace::TraceCache::global();
+    cache.reset();
+
+    for (const char *name : {"gcc", "mcf", "art"}) {
+        sim::RunParams p;
+        p.benchmark = name;
+        p.warmupInsts = 1000;
+        p.measureInsts = 4000;
+        const auto r = sim::simulate(p);
+        EXPECT_GT(r.insts, 0u) << name;
+        EXPECT_EQ(cache.stats().traceBytes, 0u) << "after " << name;
+    }
+    EXPECT_EQ(cache.stats().programsCompiled, 3u);
+
+    cache.reset();
 }
 
 /**
